@@ -1,7 +1,7 @@
 //! F9 — object-store lifecycle: sweep cost under churn, idle-sweep
 //! overhead, reclamation ratio, and the steady-state memo hit rate of
-//! second-chance eviction vs the legacy epoch clearing on a fixpoint
-//! workload under memo-capacity pressure.
+//! second-chance eviction on a fixpoint workload under memo-capacity
+//! pressure.
 //!
 //! Run with `--save-json BENCH_pr3.json` (or `CRITERION_SAVE_JSON`) to
 //! record every measurement — including the derived reclaim ratios and
@@ -9,7 +9,7 @@
 
 use co_bench::chain_family;
 use co_engine::{Engine, Guard, Strategy};
-use co_object::store::{self, MemoPolicy, MemoStats};
+use co_object::store::{self, MemoStats};
 use co_object::Object;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -94,9 +94,9 @@ fn memo_delta(before: &MemoStats, after: &MemoStats) -> (u64, u64) {
     (after.hits - before.hits, after.misses - before.misses)
 }
 
-fn bench_memo_policies(c: &mut Criterion) {
+fn bench_memo_eviction(c: &mut Criterion) {
     // Tight capacity so the fixpoint's memo traffic plus the cold stream
-    // overflows the shards — the regime where the policy matters.
+    // overflows the shards — the regime where eviction matters.
     store::set_memo_shard_cap(64);
     let db = chain_family(90);
     // Descendants over the chain, with a payload-carrying head: every
@@ -116,60 +116,52 @@ fn bench_memo_policies(c: &mut Criterion) {
         .indexes(false)
         .guard(Guard::unlimited());
 
+    let label = "second_chance";
     let mut group = c.benchmark_group("gc/fixpoint_memo");
-    for (label, policy) in [
-        ("epoch", MemoPolicy::EpochClear),
-        ("second_chance", MemoPolicy::SecondChance),
-    ] {
-        store::set_memo_policy(policy);
-        store::clear_memo_tables();
-        let _ = engine.run(&db).unwrap(); // warm the hot pairs
-        let salt = std::cell::Cell::new(0i64);
-        group.bench_function(BenchmarkId::new("run", label), |b| {
-            b.iter(|| {
-                let s = salt.get();
-                salt.set(s + 1);
-                cold_memo_stream(s); // eviction pressure between runs
-                black_box(engine.run(&db).unwrap())
-            })
-        });
+    store::clear_memo_tables();
+    let _ = engine.run(&db).unwrap(); // warm the hot pairs
+    let salt = std::cell::Cell::new(0i64);
+    group.bench_function(BenchmarkId::new("run", label), |b| {
+        b.iter(|| {
+            let s = salt.get();
+            salt.set(s + 1);
+            cold_memo_stream(s); // eviction pressure between runs
+            black_box(engine.run(&db).unwrap())
+        })
+    });
 
-        // Steady-state hit rate over a fixed post-warm cycle (identical
-        // for both policies, so the rates are directly comparable).
-        let before = store::stats();
-        for i in 0..8 {
-            cold_memo_stream(1_000_000 + salt.get() * 100 + i);
-            let _ = engine.run(&db).unwrap();
-        }
-        let after = store::stats();
-        let (mut hits, mut lookups) = (0u64, 0u64);
-        for (b, a) in [
-            (&before.le_memo, &after.le_memo),
-            (&before.union_memo, &after.union_memo),
-            (&before.intersect_memo, &after.intersect_memo),
-        ] {
-            let (h, m) = memo_delta(b, a);
-            hits += h;
-            lookups += h + m;
-        }
-        let rate = hits as f64 / lookups.max(1) as f64;
-        let evicted = after.le_memo.evicted + after.union_memo.evicted
-            - (before.le_memo.evicted + before.union_memo.evicted);
-        let clears = after.le_memo.epoch_clears + after.union_memo.epoch_clears
-            - (before.le_memo.epoch_clears + before.union_memo.epoch_clears);
-        println!(
-            "gc/fixpoint_memo/{label}: steady-state hit rate {:.1}% \
-             ({hits}/{lookups} lookups, {evicted} evicted, {clears} epoch clears)",
-            rate * 100.0
-        );
-        criterion::save_json_record(&format!(
-            "{{\"bench\": \"gc/fixpoint_memo\", \"id\": \"hit_rate/{label}\", \
-             \"hit_rate\": {rate:.4}, \"hits\": {hits}, \"lookups\": {lookups}, \
-             \"evicted\": {evicted}, \"epoch_clears\": {clears}}}"
-        ));
+    // Steady-state hit rate over a fixed post-warm cycle.
+    let before = store::stats();
+    for i in 0..8 {
+        cold_memo_stream(1_000_000 + salt.get() * 100 + i);
+        let _ = engine.run(&db).unwrap();
     }
+    let after = store::stats();
+    let (mut hits, mut lookups) = (0u64, 0u64);
+    for (b, a) in [
+        (&before.le_memo, &after.le_memo),
+        (&before.union_memo, &after.union_memo),
+        (&before.intersect_memo, &after.intersect_memo),
+    ] {
+        let (h, m) = memo_delta(b, a);
+        hits += h;
+        lookups += h + m;
+    }
+    let rate = hits as f64 / lookups.max(1) as f64;
+    let evicted = after.le_memo.evicted + after.union_memo.evicted
+        - (before.le_memo.evicted + before.union_memo.evicted);
+    println!(
+        "gc/fixpoint_memo/{label}: steady-state hit rate {:.1}% \
+         ({hits}/{lookups} lookups, {evicted} evicted)",
+        rate * 100.0
+    );
+    criterion::save_json_record(&format!(
+        "{{\"bench\": \"gc/fixpoint_memo\", \"id\": \"hit_rate/{label}\", \
+         \"hit_rate\": {rate:.4}, \"hits\": {hits}, \"lookups\": {lookups}, \
+         \"evicted\": {evicted}}}"
+    ));
     group.finish();
 }
 
-criterion_group!(benches, bench_sweep, bench_memo_policies);
+criterion_group!(benches, bench_sweep, bench_memo_eviction);
 criterion_main!(benches);

@@ -135,11 +135,10 @@ pub enum Parallelism {
 /// The cadence decides *when* the engine requests a sweep; *how* the
 /// sweep runs is the store's affair. Under `CO_GC_PAUSE_BUDGET_US` the
 /// cycle is sliced so interner locks are never held longer than the
-/// budget, and when the dedicated collector thread is on
-/// (`CO_GC_COLLECTOR=1`) the engine's `store::collect` call delegates to
-/// it — still synchronous (the call returns after a full cycle), so
-/// `gc_sweeps`/`gc_freed_nodes` accounting and the differential oracle
-/// are unchanged in either mode.
+/// budget, and the store's dedicated collector thread runs it — the
+/// engine's `store::collect` call is still synchronous (it returns after
+/// a full cycle), so `gc_sweeps`/`gc_freed_nodes` accounting and the
+/// differential oracle see every sweep the cadence asks for.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum GcCadence {
     /// Never collect during a run: the seed behaviour, right for short

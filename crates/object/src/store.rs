@@ -56,11 +56,10 @@
 //! each shard keeps its keys on a clock ring with a referenced bit that
 //! lookups set, and a full shard evicts the first un-referenced (cold)
 //! key instead of clearing wholesale — hot pairs that fixpoint rounds
-//! re-ask every iteration survive. The pre-PR-3 wholesale-clear policy
-//! remains selectable ([`MemoPolicy::EpochClear`]) for comparison, and
-//! [`MemoPolicy::Disabled`] turns memoization off; all three are runtime
-//! knobs (see [`set_memo_policy`]) observable through the `evicted` /
-//! `retained` / `epoch_clears` counters of [`MemoStats`].
+//! re-ask every iteration survive, as the `evicted` / `retained` counters
+//! of [`MemoStats`] show. [`MemoPolicy::Disabled`] turns memoization off
+//! (see [`set_memo_policy`]): the reference that tests compare memoized
+//! answers against.
 //!
 //! # Lifetime
 //!
@@ -620,51 +619,22 @@ pub enum MemoPolicy {
     /// pairs that fixpoint rounds re-ask every iteration.
     #[default]
     SecondChance,
-    /// The pre-second-chance policy: a full shard is cleared wholesale
-    /// (counted in [`MemoStats::epoch_clears`]). Kept selectable as the
-    /// comparison baseline for benchmarks.
-    EpochClear,
     /// Memoization off: every operation recomputes. The differential
     /// baseline for correctness tests.
     Disabled,
 }
 
-/// Encodes a policy for the process-wide atomic cell.
-fn memo_policy_code(p: MemoPolicy) -> u8 {
-    match p {
-        MemoPolicy::SecondChance => 1,
-        MemoPolicy::EpochClear => 2,
-        MemoPolicy::Disabled => 3,
-    }
-}
+/// Process-wide memo switch: set while [`MemoPolicy::Disabled`] is in
+/// force.
+static MEMO_DISABLED: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
 
-/// Process-wide memo policy; 0 = not yet initialized from the environment.
-static MEMO_POLICY: std::sync::atomic::AtomicU8 = std::sync::atomic::AtomicU8::new(0);
-
-/// The current process-wide [`MemoPolicy`]. Initialized lazily from the
-/// `CO_MEMO_POLICY` environment variable (`second-chance` (default),
-/// `epoch`, or `off`).
+/// The current process-wide [`MemoPolicy`] ([`MemoPolicy::SecondChance`]
+/// unless [`set_memo_policy`] chose otherwise).
 pub fn memo_policy() -> MemoPolicy {
-    match MEMO_POLICY.load(Ordering::Relaxed) {
-        1 => MemoPolicy::SecondChance,
-        2 => MemoPolicy::EpochClear,
-        3 => MemoPolicy::Disabled,
-        _ => {
-            let policy = match std::env::var("CO_MEMO_POLICY").ok().as_deref() {
-                Some("epoch") => MemoPolicy::EpochClear,
-                Some("off") | Some("disabled") => MemoPolicy::Disabled,
-                _ => MemoPolicy::SecondChance,
-            };
-            // Only initialize from the unset sentinel: a concurrent
-            // explicit `set_memo_policy` must win over the env default.
-            let _ = MEMO_POLICY.compare_exchange(
-                0,
-                memo_policy_code(policy),
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            );
-            memo_policy()
-        }
+    if MEMO_DISABLED.load(Ordering::Relaxed) {
+        MemoPolicy::Disabled
+    } else {
+        MemoPolicy::SecondChance
     }
 }
 
@@ -672,12 +642,12 @@ pub fn memo_policy() -> MemoPolicy {
 /// entries survive a policy switch (switch to [`MemoPolicy::Disabled`]
 /// merely stops consulting them; see [`clear_memo_tables`] to drop them).
 pub fn set_memo_policy(p: MemoPolicy) {
-    MEMO_POLICY.store(memo_policy_code(p), Ordering::Relaxed);
+    MEMO_DISABLED.store(p == MemoPolicy::Disabled, Ordering::Relaxed);
 }
 
 /// Drops every entry of the `≤`/`∪`/`∩` memo tables (counters are
-/// untouched). A test/benchmark lever: lets one process compare eviction
-/// policies from identical cold starts.
+/// untouched). A test/benchmark lever: lets one process replay a workload
+/// from identical cold starts.
 pub fn clear_memo_tables() {
     LE_MEMO.clear();
     UNION_MEMO.clear();
@@ -731,7 +701,6 @@ struct MemoTable<V> {
     hits: AtomicU64,
     misses: AtomicU64,
     contended: AtomicU64,
-    epoch_clears: AtomicU64,
     evicted: AtomicU64,
     retained: AtomicU64,
     swept: AtomicU64,
@@ -744,7 +713,6 @@ impl<V: Clone> MemoTable<V> {
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             contended: AtomicU64::new(0),
-            epoch_clears: AtomicU64::new(0),
             evicted: AtomicU64::new(0),
             retained: AtomicU64::new(0),
             swept: AtomicU64::new(0),
@@ -785,35 +753,26 @@ impl<V: Clone> MemoTable<V> {
             existing.value = value;
             return;
         }
+        if memo_policy() == MemoPolicy::Disabled {
+            return;
+        }
+        // Clock sweep: hot (referenced) keys get their bit cleared and one
+        // more round; the first cold key is evicted. A full cycle clears
+        // every bit, so the loop terminates.
         let cap = memo_shard_cap();
-        match memo_policy() {
-            MemoPolicy::Disabled => return,
-            MemoPolicy::EpochClear => {
-                if state.map.len() >= cap {
-                    state.map.clear();
-                    state.ring.clear();
-                    self.epoch_clears.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            MemoPolicy::SecondChance => {
-                // Clock sweep: hot (referenced) keys get their bit cleared
-                // and one more round; the first cold key is evicted. A full
-                // cycle clears every bit, so the loop terminates.
-                while state.map.len() >= cap {
-                    let Some(hand) = state.ring.pop_front() else {
-                        break; // unreachable: map keys ⊆ ring
-                    };
-                    let Some(entry) = state.map.get(&hand) else {
-                        continue; // stale ring key (GC-purged entry)
-                    };
-                    if entry.referenced.swap(false, Ordering::Relaxed) {
-                        state.ring.push_back(hand);
-                        self.retained.fetch_add(1, Ordering::Relaxed);
-                    } else {
-                        state.map.remove(&hand);
-                        self.evicted.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
+        while state.map.len() >= cap {
+            let Some(hand) = state.ring.pop_front() else {
+                break; // unreachable: map keys ⊆ ring
+            };
+            let Some(entry) = state.map.get(&hand) else {
+                continue; // stale ring key (GC-purged entry)
+            };
+            if entry.referenced.swap(false, Ordering::Relaxed) {
+                state.ring.push_back(hand);
+                self.retained.fetch_add(1, Ordering::Relaxed);
+            } else {
+                state.map.remove(&hand);
+                self.evicted.fetch_add(1, Ordering::Relaxed);
             }
         }
         state.map.insert(
@@ -868,7 +827,6 @@ impl<V: Clone> MemoTable<V> {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             contended: self.contended.load(Ordering::Relaxed),
-            epoch_clears: self.epoch_clears.load(Ordering::Relaxed),
             evicted: self.evicted.load(Ordering::Relaxed),
             retained: self.retained.load(Ordering::Relaxed),
             swept: self.swept.load(Ordering::Relaxed),
@@ -1119,16 +1077,13 @@ pub fn live_nodes() -> u64 {
     LIVE_NODES.load(Ordering::Relaxed)
 }
 
-/// One collector at a time; others queue behind the same mutex (automatic
-/// triggers skip instead of queuing — see [`maybe_auto_collect`]).
+/// Held by the collector thread for each sweep cycle and by
+/// [`with_gc_paused`]: a sweep can only start while it is free.
 static GC_GATE: parking_lot::Mutex<()> = parking_lot::Mutex::new(());
 
-/// Set when a thread crossed the high-water mark while the [`GC_GATE`] was
-/// held (or to wake the collector thread). The gate holder — or the
-/// collector — re-checks and clears it, so a crossing observed during a
-/// sweep is absorbed instead of silently dropped (the pre-PR-10 bug: a
-/// failed `try_lock` re-armed nothing, so the mark could be overshot
-/// unboundedly while an explicit sweep was parked).
+/// A queued wake-up for the collector thread: set by the first high-water
+/// crossing since the collector last woke, so later crossings cost the
+/// intern path one atomic swap.
 static GC_NUDGE_PENDING: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
 
 // ---------------------------------------------------------------------------
@@ -1147,7 +1102,7 @@ static GC_HIGH_WATER: AtomicU64 = AtomicU64::new(GC_HIGH_WATER_UNSET);
 static GC_NEXT_AUTO: AtomicU64 = AtomicU64::new(u64::MAX);
 
 /// The current high-water mark in live nodes: when an intern pushes the
-/// live-node count past it, the store runs [`collect`] automatically
+/// live-node count past it, the collector thread sweeps automatically
 /// (counted in [`StoreStats::gc_auto_triggers`]). `0` means disabled.
 ///
 /// Initialized lazily from the `CO_GC_HIGH_WATER` environment variable
@@ -1181,8 +1136,9 @@ pub fn gc_high_water() -> u64 {
 }
 
 /// Sets the high-water mark: once more than `nodes` interned nodes are
-/// live, the store collects itself on the intern path — servers no longer
-/// need to guess a GC cadence. `0` disables automatic collection.
+/// live, the intern path nudges the collector thread to sweep — servers
+/// no longer need to guess a GC cadence. `0` disables automatic
+/// collection.
 ///
 /// After an automatic sweep whose survivors still exceed the mark (the
 /// working set is simply that large), the next trigger is re-armed half a
@@ -1269,57 +1225,6 @@ pub fn set_gc_pause_budget_us(us: u64) {
 // The collector thread
 // ---------------------------------------------------------------------------
 
-/// Collector-thread switch: 0 = uninitialised, 1 = off, 2 = on.
-static GC_COLLECTOR_STATE: std::sync::atomic::AtomicU8 = std::sync::atomic::AtomicU8::new(0);
-
-/// Whether the dedicated collector thread owns garbage collection.
-///
-/// With the collector on, the intern-path high-water trigger becomes a
-/// cheap nudge (one atomic swap, at most one condvar notify) instead of an
-/// inline sweep, and explicit [`collect`] calls are serviced *on* the
-/// collector thread (the caller blocks for the result, so semantics and
-/// [`SweepStats`] are unchanged — only the pause moves off request
-/// threads). The thread also paces itself off the live-node gauge every
-/// ~20ms, so a crossing that happened while the gate was busy — or right
-/// before interning went quiet — is absorbed instead of lost.
-///
-/// Initialized lazily from the `CO_GC_COLLECTOR` environment variable
-/// (`1`/`on`/`true` enable); override at runtime with
-/// [`set_gc_collector`].
-pub fn gc_collector_enabled() -> bool {
-    match GC_COLLECTOR_STATE.load(Ordering::Relaxed) {
-        2 => true,
-        1 => false,
-        _ => {
-            let on = matches!(
-                std::env::var("CO_GC_COLLECTOR").as_deref(),
-                Ok("1") | Ok("on") | Ok("true")
-            );
-            // Only initialize from the unset sentinel: a concurrent
-            // explicit `set_gc_collector` must win over the env default.
-            let _ = GC_COLLECTOR_STATE.compare_exchange(
-                0,
-                if on { 2 } else { 1 },
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            );
-            gc_collector_enabled()
-        }
-    }
-}
-
-/// Turns the dedicated collector thread on or off at runtime. The thread
-/// is spawned on first enablement and lives for the process (turning the
-/// collector off merely routes collection back inline; an idle collector
-/// thread costs one ~20ms-interval timed wait). Pending synchronous
-/// requests are always served, even across a disable.
-pub fn set_gc_collector(on: bool) {
-    GC_COLLECTOR_STATE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-    if on {
-        let _ = collector(); // make sure the thread exists before the first nudge
-    }
-}
-
 /// The collector thread's request ledger: explicit [`collect`] calls take
 /// a ticket (`requested`) and wait until `completed` catches up; the
 /// cycle's [`SweepStats`] travel back through `last`.
@@ -1355,6 +1260,17 @@ fn collector() -> &'static Collector {
     })
 }
 
+/// Spawns the dedicated collector thread now, if it is not running yet.
+///
+/// The collector owns every sweep: high-water crossings on the intern path
+/// only nudge it, and explicit [`collect`] calls are served on it. The
+/// thread is otherwise spawned lazily by the first nudge or [`collect`];
+/// a server calls this at startup so no request pays for the spawn. An
+/// idle collector costs one ~20ms-interval timed wait.
+pub fn start_gc_collector() {
+    let _ = collector();
+}
+
 /// Leaves a wake-up for the collector thread: one atomic swap when a nudge
 /// is already queued, one mutex/notify round-trip otherwise. Never sweeps
 /// and never blocks on the GC gate — this is all the intern path pays.
@@ -1366,22 +1282,10 @@ fn nudge_collector() {
     collector().work.notify_all();
 }
 
-/// Runs one full collection cycle on the collector thread, blocking the
-/// caller until it completes; returns that cycle's stats. Semantically
-/// identical to an inline [`collect`] — the caller's thread-local L1 is
-/// flushed *here* (the collector cannot reach it), so the caller's own
-/// dropped transients are reclaimable by the cycle it waits for.
-fn collect_via_collector() -> SweepStats {
-    flush_thread_caches();
-    let c = collector();
-    let mut s = c.state.lock().unwrap_or_else(|e| e.into_inner());
-    s.requested += 1;
-    let ticket = s.requested;
-    c.work.notify_all();
-    while s.completed < ticket {
-        s = c.done.wait(s).unwrap_or_else(|e| e.into_inner());
-    }
-    s.last
+/// True when the live-node gauge has reached the armed automatic trigger.
+fn auto_collect_due() -> bool {
+    gc_high_water() != 0
+        && LIVE_NODES.load(Ordering::Relaxed) >= GC_NEXT_AUTO.load(Ordering::Relaxed)
 }
 
 /// The collector thread: serves explicit tickets, absorbs high-water
@@ -1390,22 +1294,13 @@ fn collect_via_collector() -> SweepStats {
 /// went quiet — still gets its sweep).
 fn collector_loop(c: &'static Collector) {
     const PACING: std::time::Duration = std::time::Duration::from_millis(20);
-    let gauge_due = || {
-        let hw = gc_high_water();
-        hw != 0
-            && gc_collector_enabled()
-            && LIVE_NODES.load(Ordering::Relaxed) >= GC_NEXT_AUTO.load(Ordering::Relaxed)
-    };
     loop {
         let (target, served) = {
             let mut s = c.state.lock().unwrap_or_else(|e| e.into_inner());
-            loop {
-                if s.requested > s.completed
-                    || GC_NUDGE_PENDING.load(Ordering::Acquire)
-                    || gauge_due()
-                {
-                    break;
-                }
+            while s.requested == s.completed
+                && !GC_NUDGE_PENDING.load(Ordering::Acquire)
+                && !auto_collect_due()
+            {
                 let (guard, _timeout) = c
                     .work
                     .wait_timeout(s, PACING)
@@ -1417,11 +1312,9 @@ fn collector_loop(c: &'static Collector) {
         let nudged = GC_NUDGE_PENDING.swap(false, Ordering::AcqRel);
         let explicit = target > served;
         // A nudge only *causes* a sweep while automatic collection is
-        // still armed and the collector still owns it: a stale nudge left
-        // behind after the mark (or the collector) was turned off must be
-        // absorbed without sweeping, or a disabled collector would keep
-        // running cycles concurrently with whoever took over.
-        let auto_due = (nudged || gauge_due()) && gc_collector_enabled() && gc_high_water() != 0;
+        // still armed: a stale nudge left behind after the mark was
+        // lifted must be absorbed without sweeping.
+        let auto_due = (nudged || auto_collect_due()) && gc_high_water() != 0;
         if !explicit && !auto_due {
             continue;
         }
@@ -1431,9 +1324,8 @@ fn collector_loop(c: &'static Collector) {
         // Autonomous (gauge/nudge-driven) sweeps pace themselves —
         // sleeping between slices (see `Slicer`) — so background
         // collection never monopolizes a core against the serving
-        // threads. Explicit tickets have a caller parked in
-        // `collect_via_collector`; those cycles run unpaced, like inline
-        // `collect()` always did.
+        // threads. Explicit tickets have a caller parked in `collect`;
+        // those cycles run unpaced.
         let stats = {
             let _gate = GC_GATE.lock();
             collect_locked(!explicit)
@@ -1449,45 +1341,14 @@ fn collector_loop(c: &'static Collector) {
     }
 }
 
-/// Intern-path check: fires an automatic collection when the live-node
+/// Intern-path check: nudges the collector thread when the live-node
 /// count has crossed the armed threshold. One relaxed load when idle or
 /// below the mark.
 #[inline]
 fn maybe_auto_collect() {
-    let hw = gc_high_water();
-    if hw == 0 || LIVE_NODES.load(Ordering::Relaxed) < GC_NEXT_AUTO.load(Ordering::Relaxed) {
-        return;
-    }
-    auto_collect(hw);
-}
-
-/// The cold path of [`maybe_auto_collect`]. With the collector thread on,
-/// this is a cheap nudge and the interner keeps going; inline, it runs one
-/// sweep unless a collection is already in flight — in which case the
-/// crossing is *recorded* ([`GC_NUDGE_PENDING`]) for the gate holder to
-/// re-check on release, never silently dropped.
-#[cold]
-fn auto_collect(hw: u64) {
-    if gc_collector_enabled() {
+    if auto_collect_due() {
         nudge_collector();
-        return;
     }
-    {
-        let Some(_gate) = GC_GATE.try_lock() else {
-            // A sweep is already in flight; it will reclaim for us. Record
-            // the crossing so the holder re-checks once the gate frees —
-            // a silent skip would let the mark be overshot unboundedly
-            // while an explicit sweep is parked.
-            GC_NUDGE_PENDING.store(true, Ordering::Release);
-            return;
-        };
-        GC_AUTO_TRIGGERS.fetch_add(1, Ordering::Relaxed);
-        let _ = collect_locked(false);
-        rearm_after_sweep(hw);
-        // This sweep absorbs any crossing recorded while it ran.
-        GC_NUDGE_PENDING.store(false, Ordering::Release);
-    }
-    recheck_after_gate_release();
 }
 
 /// Hysteresis: normally re-arm at the mark; when the surviving working
@@ -1502,30 +1363,17 @@ fn rearm_after_sweep(hw: u64) {
     GC_NEXT_AUTO.store(next, Ordering::Relaxed);
 }
 
-/// After releasing [`GC_GATE`]: absorb a high-water crossing that was
-/// recorded while we held it (the recording thread skipped its sweep
-/// rather than queue behind ours).
-fn recheck_after_gate_release() {
-    if GC_NUDGE_PENDING.swap(false, Ordering::AcqRel) {
-        maybe_auto_collect();
-    }
-}
-
-/// Runs `f` with garbage collection paused: no sweep — explicit,
-/// automatic, or collector-thread — can start until `f` returns. On
-/// release, a high-water crossing observed during the pause is absorbed
-/// immediately (the regression the pre-PR-10 `try_lock` skip missed).
+/// Runs `f` with garbage collection paused: no sweep — explicit or
+/// automatic — can start until `f` returns. A high-water crossing
+/// observed during the pause has already nudged the collector, which
+/// sweeps as soon as the pause ends.
 ///
 /// `f` must not call [`collect`] (it would deadlock behind its own
 /// pause). Intended for latency-critical sections and for tests that need
 /// a deterministically parked sweep.
 pub fn with_gc_paused<R>(f: impl FnOnce() -> R) -> R {
-    let result = {
-        let _gate = GC_GATE.lock();
-        f()
-    };
-    recheck_after_gate_release();
-    result
+    let _gate = GC_GATE.lock();
+    f()
 }
 
 /// Upper bound on mark/sweep passes per [`collect`]: each extra pass only
@@ -1547,10 +1395,11 @@ const MAX_SWEEP_PASSES: u32 = 8;
 /// within the same pass, and the cycle re-runs (bounded by
 /// `MAX_SWEEP_PASSES`) when purging memo values released more nodes.
 ///
-/// With the collector thread on ([`gc_collector_enabled`]) the cycle is
-/// executed on that thread; this call still blocks until it completes and
-/// returns the same [`SweepStats`], so explicit collection keeps its
-/// synchronous semantics in both modes.
+/// The cycle runs on the collector thread (see [`start_gc_collector`]);
+/// this call blocks until it completes and returns its [`SweepStats`].
+/// The caller's thread-local L1 is flushed first (the collector cannot
+/// reach it), so the caller's own dropped transients are reclaimable by
+/// the cycle it waits for.
 ///
 /// Two invariants make this safe to run at any quiescent or concurrent
 /// point:
@@ -1583,15 +1432,16 @@ const MAX_SWEEP_PASSES: u32 = 8;
 /// assert!(store::stats().gc_sweeps > before.gc_sweeps);
 /// ```
 pub fn collect() -> SweepStats {
-    if gc_collector_enabled() {
-        return collect_via_collector();
+    flush_thread_caches();
+    let c = collector();
+    let mut s = c.state.lock().unwrap_or_else(|e| e.into_inner());
+    s.requested += 1;
+    let ticket = s.requested;
+    c.work.notify_all();
+    while s.completed < ticket {
+        s = c.done.wait(s).unwrap_or_else(|e| e.into_inner());
     }
-    let stats = {
-        let _gate = GC_GATE.lock();
-        collect_locked(false)
-    };
-    recheck_after_gate_release();
-    stats
+    s.last
 }
 
 /// The GC observability instruments, registered once in the global
@@ -1633,9 +1483,8 @@ fn gc_instruments() -> &'static GcInstruments {
 /// A **paced** slicer additionally sleeps for twice the slice's own pause
 /// (capped at 2× budget) after each slice: a ≤33% duty cycle. The
 /// collector thread paces its autonomous sweeps so background collection
-/// never monopolizes a core against the serving threads; synchronous
-/// callers (explicit `collect()`, inline triggers) never pace — they want
-/// the cycle done.
+/// never monopolizes a core against the serving threads; explicit
+/// `collect()` cycles never pace — their caller wants the cycle done.
 struct Slicer {
     /// `None` = unbudgeted (`CO_GC_PAUSE_BUDGET_US=0`): one slice.
     budget: Option<std::time::Duration>,
@@ -1766,7 +1615,7 @@ impl Slicer {
 /// slice's pause into the `store.gc_pause_ns` registry histogram, the
 /// whole cycle into `store.gc_cycle_ns`, and — when `CO_TRACE` is on —
 /// emits a `store.gc_sweep` span for the cycle. `paced` selects the
-/// collector thread's ≤50% duty cycle between slices (see [`Slicer`]).
+/// ≤33% duty cycle of autonomous sweeps (see [`Slicer`]).
 fn collect_locked(paced: bool) -> SweepStats {
     let start = std::time::Instant::now();
     let stats = collect_locked_inner(paced);
@@ -2024,9 +1873,6 @@ pub struct MemoStats {
     pub misses: u64,
     /// Lock acquisitions that had to block behind another thread.
     pub contended: u64,
-    /// Wholesale shard clears performed on reaching capacity — only under
-    /// [`MemoPolicy::EpochClear`], the legacy policy kept for comparison.
-    pub epoch_clears: u64,
     /// Cold entries evicted one-by-one by the second-chance clock.
     pub evicted: u64,
     /// Second chances granted: the clock hand found the entry referenced
@@ -2150,8 +1996,8 @@ impl std::fmt::Display for StoreStats {
             writeln!(
                 f,
                 "  memo {}: {} entries, {} hits, {} misses, {} evicted, \
-                 {} retained, {} swept, {} epoch clears",
-                label, m.entries, m.hits, m.misses, m.evicted, m.retained, m.swept, m.epoch_clears
+                 {} retained, {} swept",
+                label, m.entries, m.hits, m.misses, m.evicted, m.retained, m.swept
             )?;
         }
         writeln!(

@@ -1,40 +1,22 @@
-//! Size-triggered garbage collection: the high-water mark fires
-//! `collect()` from the intern path, with hysteresis, and never touches
-//! reachable objects.
+//! Size-triggered garbage collection: crossing the high-water mark on the
+//! intern path makes the collector thread sweep, with hysteresis, and
+//! never touches reachable objects.
 //!
 //! These tests drive process-global store state (the mark, the live-node
 //! gauge), so they serialize on a local mutex and always restore the
 //! disabled default before finishing.
 //!
-//! They also pin collection **inline** (collector thread off) for their
-//! duration: the assertions count synchronous trigger→sweep causality on
-//! the interning thread, which an asynchronously-paced collector
-//! deliberately decouples. Collector-mode trigger behaviour is covered by
-//! `gc_incremental.rs`.
+//! The collector sweeps asynchronously, so each test interns its churn
+//! with collection paused and drops its thread-local cache: every churned
+//! node is garbage by the time the pause ends, and the one sweep the
+//! crossing asked for is awaited with a bounded wait.
 
-use co_object::{obj, store, Object};
+use co_object::store::{self, StoreStats};
+use co_object::{obj, Object};
 use std::sync::Mutex;
+use std::time::{Duration, Instant};
 
 static GATE: Mutex<()> = Mutex::new(());
-
-/// Restores the collector-thread mode it captured at construction.
-struct CollectorMode(bool);
-
-impl CollectorMode {
-    /// Pins collection inline, returning a guard that restores the
-    /// previous mode on drop (even on panic).
-    fn pin_inline() -> Self {
-        let was = store::gc_collector_enabled();
-        store::set_gc_collector(false);
-        CollectorMode(was)
-    }
-}
-
-impl Drop for CollectorMode {
-    fn drop(&mut self) {
-        store::set_gc_collector(self.0);
-    }
-}
 
 /// Runs `f` with the high-water mark set to `live + headroom`, restoring
 /// the disabled default afterwards (even on panic, via a drop guard).
@@ -43,6 +25,9 @@ fn with_high_water<R>(headroom: u64, f: impl FnOnce(u64) -> R) -> R {
     impl Drop for Reset {
         fn drop(&mut self) {
             store::set_gc_high_water(0);
+            // Lets an automatic sweep already under way finish before the
+            // next test reads the counters.
+            store::collect();
         }
     }
     let _reset = Reset;
@@ -59,28 +44,47 @@ fn churn(salt: i64, n: i64) {
     }
 }
 
+/// Interns `n` transient tuples (two fresh nodes each) while collection is
+/// paused, then drops this thread's L1 so that every churned node is
+/// unreachable when the pause ends.
+fn churn_paused(salt: i64, n: i64) {
+    store::with_gc_paused(|| {
+        churn(salt, n);
+        store::flush_thread_caches();
+    });
+}
+
+/// Waits until an automatic sweep has both started and finished since
+/// `before`, failing after ten seconds.
+fn await_auto_sweep(before: &StoreStats) -> StoreStats {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let now = store::stats();
+        if now.gc_auto_triggers > before.gc_auto_triggers && now.gc_sweeps > before.gc_sweeps {
+            return now;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "no automatic sweep finished within 10s: triggers {} -> {}, sweeps {} -> {}",
+            before.gc_auto_triggers,
+            now.gc_auto_triggers,
+            before.gc_sweeps,
+            now.gc_sweeps
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
 #[test]
 fn crossing_the_mark_triggers_a_collection() {
     let _gate = GATE.lock().unwrap();
-    let _inline = CollectorMode::pin_inline();
     let before = store::stats();
-    with_high_water(256, |_| {
-        // Far more transient garbage than the headroom: the trigger must
-        // fire at least once while we intern, without any explicit
-        // `collect()` call.
-        churn(1, 2_000);
+    let after = with_high_water(256, |_| {
+        // Far more transient garbage than the headroom: the collector
+        // must sweep without any explicit `collect()` call.
+        churn_paused(1, 2_000);
+        await_auto_sweep(&before)
     });
-    let after = store::stats();
-    assert!(
-        after.gc_auto_triggers > before.gc_auto_triggers,
-        "no automatic collection fired: {} -> {}",
-        before.gc_auto_triggers,
-        after.gc_auto_triggers
-    );
-    assert!(
-        after.gc_sweeps > before.gc_sweeps,
-        "auto triggers must run real sweeps"
-    );
     assert!(
         after.gc_freed_nodes > before.gc_freed_nodes,
         "the churn garbage must actually be reclaimed"
@@ -90,10 +94,11 @@ fn crossing_the_mark_triggers_a_collection() {
 #[test]
 fn disabled_mark_never_triggers() {
     let _gate = GATE.lock().unwrap();
-    let _inline = CollectorMode::pin_inline();
     store::set_gc_high_water(0);
     let before = store::stats();
-    churn(2, 2_000);
+    churn_paused(2, 2_000);
+    // An explicit cycle queues behind anything the collector has started.
+    store::collect();
     let after = store::stats();
     assert_eq!(
         after.gc_auto_triggers, before.gc_auto_triggers,
@@ -104,15 +109,17 @@ fn disabled_mark_never_triggers() {
 #[test]
 fn reachable_objects_survive_automatic_sweeps() {
     let _gate = GATE.lock().unwrap();
-    let _inline = CollectorMode::pin_inline();
     // A working set we keep holding across the auto sweeps.
     let kept: Vec<Object> = (0..128)
         .map(|i| obj!([gc_hw_kept: (i), v: {(i), (i + 1), (i + 2)}]))
         .collect();
     let kept_ids: Vec<_> = kept.iter().map(|o| o.node_id().unwrap()).collect();
-    with_high_water(128, |_| {
-        churn(3, 2_000);
+    let before = store::stats();
+    let after = with_high_water(128, |_| {
+        churn_paused(3, 2_000);
+        await_auto_sweep(&before)
     });
+    assert!(after.gc_freed_nodes > before.gc_freed_nodes);
     for (o, id) in kept.iter().zip(&kept_ids) {
         assert_eq!(o.node_id(), Some(*id), "held objects keep their identity");
         assert!(
@@ -130,12 +137,11 @@ fn reachable_objects_survive_automatic_sweeps() {
 #[test]
 fn trigger_rearms_at_the_mark_when_survivors_fit_below_it() {
     let _gate = GATE.lock().unwrap();
-    let _inline = CollectorMode::pin_inline();
     // A big held working set, so a buggy hysteresis that always re-arms
     // half a mark above the *survivors* would push the next trigger
     // thousands of nodes past the configured mark. With survivors below
-    // the mark, re-arming must happen AT the mark: steady transient churn
-    // then fires roughly every `headroom` nodes, not every `live/2`.
+    // the mark, re-arming must happen AT the mark: every batch of 400
+    // transient nodes against 200 headroom then fires its own sweep.
     let _held: Vec<Object> = (0..2_000)
         .map(|i| obj!([gc_hw_rearm: (i), p: {(i), (i + 1)}]))
         .collect();
@@ -143,38 +149,34 @@ fn trigger_rearms_at_the_mark_when_survivors_fit_below_it() {
     // otherwise be reclaimed by the first auto sweep, dropping the live
     // count far below the mark and masking the re-arm behaviour.
     store::collect();
-    let before = store::stats();
     with_high_water(200, |_| {
-        churn(5, 2_000); // ≈ 4000 transient nodes against 200 headroom
+        for round in 0..5 {
+            let before = store::stats();
+            churn_paused(5 + round, 200);
+            await_auto_sweep(&before);
+        }
     });
-    let triggers = store::stats().gc_auto_triggers - before.gc_auto_triggers;
-    assert!(
-        triggers >= 5,
-        "re-arming at the mark should fire many sweeps across 4000 \
-         transient nodes with 200 headroom, got {triggers}"
-    );
 }
 
 #[test]
 fn crossing_during_a_parked_sweep_is_not_dropped() {
     let _gate = GATE.lock().unwrap();
-    let _inline = CollectorMode::pin_inline();
-    // Regression (PR 10): crossing the high-water mark while the GC gate
-    // was held used to hit `try_lock`, fail, and silently do nothing — no
-    // sweep, no re-arm — so the mark could be overshot unboundedly for as
-    // long as an explicit collection stayed parked. The crossing must now
-    // be recorded and absorbed the moment the gate frees.
+    // Regression: a crossing of the high-water mark while the GC
+    // gate was held used to be silently dropped — no sweep, no re-arm —
+    // so the mark could be overshot unboundedly for as long as another
+    // collection stayed parked. The crossing must be absorbed the moment
+    // the gate frees.
     store::collect(); // start from a garbage-free store
     let before = store::stats();
-    with_high_water(200, |mark| {
+    let after = with_high_water(200, |mark| {
         // Park the gate (as a long explicit sweep would) and blow through
-        // the mark while it is held: every crossing lands on the occupied
-        // gate's try_lock path.
+        // the mark while it is held.
         store::with_gc_paused(|| {
             churn(6, 2_000); // ≈ 4000 transients vs 200 headroom
+            store::flush_thread_caches();
             assert_eq!(
-                store::stats().gc_auto_triggers,
-                before.gc_auto_triggers,
+                store::stats().gc_sweeps,
+                before.gc_sweeps,
                 "no sweep can run while the gate is paused"
             );
             assert!(
@@ -182,17 +184,10 @@ fn crossing_during_a_parked_sweep_is_not_dropped() {
                 "the churn must actually overshoot the mark while parked"
             );
         });
-        // `with_gc_paused` re-checks the gauge on release: the recorded
-        // crossing fires its sweep right here, on this thread.
+        // The crossing nudged the collector, which sweeps once the pause
+        // ends.
+        await_auto_sweep(&before)
     });
-    let after = store::stats();
-    assert!(
-        after.gc_auto_triggers > before.gc_auto_triggers,
-        "a crossing recorded while the gate was held must trigger a sweep \
-         when it frees, got {} -> {}",
-        before.gc_auto_triggers,
-        after.gc_auto_triggers
-    );
     assert!(
         after.gc_freed_nodes > before.gc_freed_nodes,
         "the absorbed trigger must reclaim the parked churn"
@@ -202,23 +197,29 @@ fn crossing_during_a_parked_sweep_is_not_dropped() {
 #[test]
 fn oversized_working_set_does_not_collect_per_intern() {
     let _gate = GATE.lock().unwrap();
-    let _inline = CollectorMode::pin_inline();
     // Hold a working set bigger than the mark: after the first auto sweep
     // the survivors still exceed it, so hysteresis must re-arm the trigger
-    // half a mark higher instead of sweeping on every subsequent intern.
+    // half a mark higher instead of sweeping on every later intern.
     let _held: Vec<Object> = (0..1_500)
         .map(|i| obj!([gc_hw_big: (i), w: {(i), (i * 7)}]))
         .collect();
+    store::collect(); // the mark below is then exactly the held set
     let before = store::stats();
     with_high_water(0, |_| {
         // Mark is exactly the current live count: already at the mark.
-        churn(4, 1_000);
+        churn_paused(4, 1_000);
+        await_auto_sweep(&before);
+        // 400 more nodes stay under the re-armed trigger (half a mark
+        // above ≥3000 survivors); the explicit cycle queues behind any
+        // automatic sweep they would have caused.
+        churn_paused(7, 200);
+        store::collect();
     });
-    let after = store::stats();
-    let triggers = after.gc_auto_triggers - before.gc_auto_triggers;
-    assert!(triggers >= 1, "crossing the mark must trigger");
+    // One sweep for the crossing, plus at most one for the nudges queued
+    // while it waited behind the pause.
+    let triggers = store::stats().gc_auto_triggers - before.gc_auto_triggers;
     assert!(
-        triggers <= 4,
-        "hysteresis must bound trigger frequency, got {triggers} sweeps for 1000 interns"
+        (1..=2).contains(&triggers),
+        "hysteresis must stop a collect-per-intern storm, got {triggers} automatic sweeps"
     );
 }

@@ -188,10 +188,9 @@ pub enum Response {
 }
 
 /// The per-session serving state: everything a request needs beyond its
-/// own fields. Both serving cores — thread-per-session and the
-/// reactor/worker-pool — drive the same [`handle`] against one of these,
-/// which is what carries the MVCC contract (and every differential proof
-/// built on it) across the I/O-layer rewrite unchanged.
+/// own fields. The worker pool drives [`handle`] against one of these per
+/// session, which is what carries the MVCC contract (and every
+/// differential proof built on it).
 pub struct SessionState {
     shared: SharedEngine,
     /// The snapshot pinned by a `Snapshot` request, if any. While held,

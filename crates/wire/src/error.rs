@@ -14,6 +14,15 @@ use std::io;
 pub enum WireError {
     /// The underlying reader/writer failed.
     Io(io::Error),
+    /// An atomic save renamed its synced temporary into place, but syncing
+    /// the parent directory failed: the snapshot's bytes are intact, yet
+    /// its new name may not survive a power loss.
+    DirSync {
+        /// The directory whose sync failed.
+        dir: std::path::PathBuf,
+        /// The failure.
+        source: io::Error,
+    },
     /// The first eight bytes are not the `co-wire` magic: this is not a
     /// snapshot file (or its header was destroyed).
     BadMagic {
@@ -95,6 +104,12 @@ impl fmt::Display for WireError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             WireError::Io(e) => write!(f, "snapshot io error: {e}"),
+            WireError::DirSync { dir, source } => write!(
+                f,
+                "snapshot renamed into place, but syncing directory {} failed: {source} \
+                 (the new name may not survive a power loss)",
+                dir.display()
+            ),
             WireError::BadMagic { found } => {
                 write!(f, "corrupt snapshot header: bad magic [")?;
                 for (i, b) in found.iter().enumerate() {
@@ -158,7 +173,7 @@ impl fmt::Display for WireError {
 impl std::error::Error for WireError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            WireError::Io(e) => Some(e),
+            WireError::Io(e) | WireError::DirSync { source: e, .. } => Some(e),
             _ => None,
         }
     }

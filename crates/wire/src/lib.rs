@@ -736,7 +736,8 @@ pub fn write_delta_snapshot<W: Write>(
 /// Runs `write` against a same-directory temporary for `path` and renames
 /// the result over `path` only once fully written and synced — a crash
 /// mid-write can never leave a half-snapshot under the final name, only
-/// an orphan temporary (see [`is_snapshot_temp`]).
+/// an orphan temporary (see [`is_snapshot_temp`]). The parent directory
+/// is synced after the rename, so the new name survives power loss too.
 fn save_atomically<T>(
     path: &Path,
     write: impl FnOnce(&mut std::io::BufWriter<std::fs::File>) -> Result<T, WireError>,
@@ -758,12 +759,29 @@ fn save_atomically<T>(
             .map_err(|e| e.into_error())?
             .sync_all()?;
         std::fs::rename(&tmp, path)?;
+        sync_parent_dir(path)?;
         Ok(out)
     })();
     if result.is_err() {
         let _ = std::fs::remove_file(&tmp);
     }
     result
+}
+
+/// Syncs the directory holding `path`: a rename only changes directory
+/// entries, which reach the disk with the directory's own sync, not the
+/// file's.
+fn sync_parent_dir(path: &Path) -> Result<(), WireError> {
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    std::fs::File::open(dir)
+        .and_then(|d| d.sync_all())
+        .map_err(|source| WireError::DirSync {
+            dir: dir.to_owned(),
+            source,
+        })
 }
 
 /// Whether `path` looks like an orphaned snapshot temporary — the

@@ -311,6 +311,21 @@ fn trailing_bytes_are_malformed() {
 }
 
 #[test]
+fn dir_sync_failure_display_is_pinned_and_keeps_its_source() {
+    use std::error::Error;
+    let err = WireError::DirSync {
+        dir: "/snapshots".into(),
+        source: std::io::Error::other("EIO"),
+    };
+    assert_eq!(
+        err.to_string(),
+        "snapshot renamed into place, but syncing directory /snapshots failed: EIO \
+         (the new name may not survive a power loss)"
+    );
+    assert_eq!(err.source().unwrap().to_string(), "EIO");
+}
+
+#[test]
 fn missing_file_is_an_io_error() {
     let err = co_wire::load_from_path("/nonexistent/dir/snapshot.cow").unwrap_err();
     assert!(matches!(err, WireError::Io(_)));

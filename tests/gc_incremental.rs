@@ -31,10 +31,9 @@ fn soak_lock() -> std::sync::MutexGuard<'static, ()> {
     SOAK_LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Restores budget / collector / metrics knobs on drop (even on panic).
+/// Restores budget / metrics knobs on drop (even on panic).
 struct KnobGuard {
     budget_us: u64,
-    collector: bool,
     metrics: bool,
 }
 
@@ -42,7 +41,6 @@ impl KnobGuard {
     fn capture() -> Self {
         KnobGuard {
             budget_us: store::gc_pause_budget_us(),
-            collector: store::gc_collector_enabled(),
             metrics: obs::metrics_enabled(),
         }
     }
@@ -51,7 +49,6 @@ impl KnobGuard {
 impl Drop for KnobGuard {
     fn drop(&mut self) {
         store::set_gc_pause_budget_us(self.budget_us);
-        store::set_gc_collector(self.collector);
         obs::set_metrics_enabled(self.metrics);
     }
 }
@@ -91,7 +88,6 @@ fn budgeted_sweep_bounds_every_pause_sample() {
     // slicing: the same cycle unsliced holds locks for >100ms.
     const BUDGET_US: u64 = 10_000;
     store::set_gc_pause_budget_us(BUDGET_US);
-    store::set_gc_collector(false);
     obs::set_metrics_enabled(true);
     store::collect(); // start the window from a garbage-free store
 
@@ -159,7 +155,6 @@ fn zero_budget_is_one_stop_the_world_slice() {
     let _g = soak_lock();
     let _knobs = KnobGuard::capture();
     store::set_gc_pause_budget_us(0);
-    store::set_gc_collector(false);
     {
         let _garbage: Vec<Object> = (0..5_000).map(|i| transient("gc_inc_stw", i)).collect();
     }
@@ -179,7 +174,6 @@ fn zero_budget_is_one_stop_the_world_slice() {
 fn tiny_budget_fixpoints_stay_bit_identical() {
     let _g = soak_lock();
     let _knobs = KnobGuard::capture();
-    store::set_gc_collector(false);
     let db = chain_family_db(60);
     let program = descendants_program("p0");
     store::set_gc_pause_budget_us(0);
@@ -220,7 +214,7 @@ fn tiny_budget_fixpoints_stay_bit_identical() {
 fn collector_thread_bounds_pauses_and_keeps_collect_synchronous() {
     let _g = soak_lock();
     let _knobs = KnobGuard::capture();
-    // A wider budget than the inline soak: the pause samples honestly
+    // A wider budget than the explicit soak: the pause samples honestly
     // include time the collector spends *descheduled* while holding a
     // shard lock, and on a 1-core box with churn workers runnable that
     // adds scheduler-latency periods (up to ~10ms each, debug build) on
@@ -228,7 +222,6 @@ fn collector_thread_bounds_pauses_and_keeps_collect_synchronous() {
     // — every sample ≤ 2× budget.
     const BUDGET_US: u64 = 30_000;
     store::set_gc_pause_budget_us(BUDGET_US);
-    store::set_gc_collector(true);
     obs::set_metrics_enabled(true);
     store::collect();
 
