@@ -11,7 +11,7 @@
 //!   checked for identity and recorded, with no speed floor — both
 //!   paths are dominated by re-canonicalizing the 10 000-element result);
 //! - **wire** — the columnar co-wire record (`write_snapshot_columnar`)
-//!   is ≤ 60% of the flat relation's version-1 snapshot payload;
+//!   is ≤ 60% of the flat relation's row-encoded snapshot payload;
 //! - **identity** — a columnar snapshot restores to the identical node.
 //!
 //! Run with `--save-json BENCH_pr6.json` to record the measurements —
@@ -214,22 +214,28 @@ fn bench_wire(c: &mut Criterion) {
     let mut col_bytes = Vec::new();
     let (col_stats, _) = write_snapshot_columnar(&mut col_bytes, &roots, b"").unwrap();
     assert_eq!(col_stats.columnar_sets, 1);
+    assert_eq!(
+        col_stats.payload_bytes, 26_633,
+        "pinned columnar payload bytes"
+    );
     let ratio = col_stats.payload_bytes as f64 / row_stats.payload_bytes as f64;
     println!(
-        "columnar/wire: v3 payload {} B vs v1 payload {} B ({:.1}% — v1 is the \
-         61.5 KB flat snapshot the roadmap pins)",
+        "columnar/wire: columnar payload {} B vs row payload {} B ({:.1}% — the row \
+         encoding is the 61.5 KB flat snapshot the roadmap pins)",
         col_stats.payload_bytes,
         row_stats.payload_bytes,
         ratio * 100.0
     );
     assert!(
         ratio <= 0.60,
-        "acceptance: columnar payload ≤60% of the flat v1 snapshot, got {:.1}%",
+        "acceptance: columnar payload ≤60% of the flat row-encoded snapshot, got {:.1}%",
         ratio * 100.0
     );
     // The compact encoding still restores to the identical node.
     let snap = read_snapshot(col_bytes.as_slice()).unwrap();
     assert_eq!(snap.roots[0].node_id(), r.node_id());
+    // Record ids and keys keep their `v1` (row encoding) names so the
+    // BENCH history stays comparable.
     save_json_record(&format!(
         "{{\"bench\": \"columnar\", \"id\": \"wire/flat_relation_{ROWS}\", \
          \"columnar_payload_bytes\": {}, \"v1_payload_bytes\": {}, \

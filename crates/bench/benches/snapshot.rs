@@ -25,7 +25,7 @@ use co_object::{measure, Object};
 use co_parser::parse_program;
 use co_wire::{
     naive_encoding_len, read_chain, read_snapshot, write_delta_snapshot, write_snapshot,
-    write_snapshot_handle,
+    SnapshotHandle,
 };
 use criterion::{
     criterion_group, criterion_main, save_json_record, BenchmarkId, Criterion, Throughput,
@@ -55,20 +55,27 @@ fn closed_genealogy() -> Object {
         .database
 }
 
-fn workloads() -> Vec<(&'static str, Object)> {
+/// Each workload with its pinned payload size in bytes: the node table
+/// encoding is deterministic, so any change to these is a format change.
+fn workloads() -> Vec<(&'static str, Object, u64)> {
     vec![
-        ("flat_relation_5000", flat_relation(5_000, 97, "k", "v")),
-        ("closed_genealogy_90", closed_genealogy()),
-        ("shared_tower_16", tower(16)),
+        (
+            "flat_relation_5000",
+            flat_relation(5_000, 97, "k", "v"),
+            61_503,
+        ),
+        ("closed_genealogy_90", closed_genealogy(), 2_432),
+        ("shared_tower_16", tower(16), 152),
     ]
 }
 
 fn bench_write_read(c: &mut Criterion) {
     let mut group = c.benchmark_group("snapshot");
-    for (name, root) in workloads() {
+    for (name, root, pinned_payload) in workloads() {
         let roots = [root];
         let mut bytes = Vec::new();
         let stats = write_snapshot(&mut bytes, &roots, b"").unwrap();
+        assert_eq!(stats.payload_bytes, pinned_payload, "{name} payload bytes");
 
         group.throughput(Throughput::Bytes(stats.total_bytes));
         group.bench_with_input(BenchmarkId::new("write", name), &roots, |b, roots| {
@@ -184,8 +191,13 @@ fn bench_delta(c: &mut Criterion) {
 
     let base_db = bucketed_db(N, 0, BUCKETS);
     let mut base_bytes = Vec::new();
-    let (base_stats, base_handle) =
-        write_snapshot_handle(&mut base_bytes, std::slice::from_ref(&base_db), b"").unwrap();
+    let (base_stats, base_handle) = write_delta_snapshot(
+        &mut base_bytes,
+        std::slice::from_ref(&base_db),
+        b"",
+        &SnapshotHandle::empty(),
+    )
+    .unwrap();
 
     // One drift step: <5% of the nodes are new.
     let drifted = bucketed_db(N, DRIFT, BUCKETS);
@@ -199,6 +211,16 @@ fn bench_delta(c: &mut Criterion) {
         &base_handle,
     )
     .unwrap();
+    // Pinned sizes: the full payload is the node table alone; the delta
+    // carries its base link in the header, not the payload.
+    assert_eq!(
+        full_stats.payload_bytes, 89_978,
+        "drifted full payload bytes"
+    );
+    assert_eq!(
+        delta_stats.payload_bytes, 1_876,
+        "drift delta payload bytes"
+    );
     let new_fraction = delta_stats.nodes as f64 / distinct_nodes(&drifted) as f64;
     let payload_ratio = delta_stats.payload_bytes as f64 / full_stats.payload_bytes as f64;
     assert!(

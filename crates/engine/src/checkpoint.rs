@@ -31,10 +31,10 @@
 //! checkpoints of a hot engine, the overwhelming share of interned nodes
 //! is unchanged. [`Engine::checkpoint`] therefore auto-selects **delta
 //! snapshots** once a chain is live: the first call writes a full
-//! (version 1) snapshot, later calls write version-2 deltas carrying only
-//! the nodes the chain lacks, and [`Engine::restore_chain`] replays the
-//! layers — full first, then each delta — verifying every link's base
-//! identity (payload checksum + cumulative node count). GC between
+//! snapshot (a layer on the empty base), later calls write deltas
+//! carrying only the nodes the chain lacks, and [`Engine::restore_chain`]
+//! replays the layers — full first, then each delta — verifying every
+//! link's base identity (layer checksum + cumulative node count). GC between
 //! deltas is safe: the handle maps live `NodeId`s, freed ids are never
 //! recycled, and content that is re-derived after a sweep simply
 //! re-encodes in the next delta (never silently mis-references). Chains
@@ -149,7 +149,7 @@ impl CheckpointHandle {
         self.layers.len()
     }
 
-    /// The wire-level identity (payload checksum + cumulative node
+    /// The wire-level identity (layer checksum + cumulative node
     /// count) a delta written against this handle will declare.
     pub fn base_id(&self) -> co_wire::BaseId {
         self.wire.base_id()
@@ -326,10 +326,10 @@ impl Engine {
     /// with a bit-identical trace.
     ///
     /// **Full vs delta is automatic.** The first checkpoint an engine
-    /// writes is a full (version 1) snapshot. While a prior checkpoint
-    /// handle is live ([`Engine::last_checkpoint`]), later calls write
-    /// **delta** (version 2) snapshots carrying only the nodes the chain
-    /// lacks — restore them together with [`Engine::restore_chain`]. When
+    /// writes is a full snapshot. While a prior checkpoint handle is live
+    /// ([`Engine::last_checkpoint`]), later calls write **delta**
+    /// snapshots carrying only the nodes the chain lacks — restore them
+    /// together with [`Engine::restore_chain`]. When
     /// the chain reaches [`co_wire::MAX_CHAIN_DEPTH`] layers, the next
     /// call starts a fresh full snapshot — as does a call targeting one
     /// of the live chain's own layer files (a delta there would rename
@@ -385,32 +385,22 @@ impl Engine {
         }
     }
 
-    /// Writes a **full** (version 1) checkpoint unconditionally, making
-    /// it the engine's new live chain of depth 1: the next
-    /// [`Engine::checkpoint`] writes a delta against it.
+    /// Writes a **full** checkpoint unconditionally — a layer on the
+    /// empty base — making it the engine's new live chain of depth 1: the
+    /// next [`Engine::checkpoint`] writes a delta against it.
     pub fn checkpoint_full(
         &self,
         db: &Object,
         path: impl AsRef<Path>,
     ) -> Result<WriteStats, CheckpointError> {
-        // Pin for the whole write: the writer's own strong references
-        // already keep the nodes alive, but the pin also keeps their
-        // *ids* stable against a sweep triggered by a concurrent engine
-        // (ids are what the node table is keyed off while we walk).
-        let _pin = store::pin(db);
-        let (roots, meta) = self.checkpoint_roots_meta(db);
-        let (stats, wire) = co_wire::save_to_path_handle(path.as_ref(), &roots, &meta)?;
-        *self.lock_chain() = Some(CheckpointHandle {
-            wire,
-            layers: vec![path.as_ref().to_path_buf()],
-        });
-        Ok(stats)
+        self.write_layer(db, path.as_ref(), &SnapshotHandle::empty(), &[])
+            .map(|(stats, _)| stats)
     }
 
-    /// Writes a **delta** (version 2) checkpoint of `db` to `path`,
-    /// encoding only the nodes `base` lacks. Returns the stats and the
-    /// extended chain handle, which also becomes the engine's live chain
-    /// (so a following [`Engine::checkpoint`] chains another delta).
+    /// Writes a **delta** checkpoint of `db` to `path`, encoding only the
+    /// nodes `base` lacks. Returns the stats and the extended chain
+    /// handle, which also becomes the engine's live chain (so a following
+    /// [`Engine::checkpoint`] chains another delta).
     ///
     /// Fails with [`WireError::ChainTooDeep`](co_wire::WireError) when
     /// `base` is already at [`co_wire::MAX_CHAIN_DEPTH`] layers — compact
@@ -431,11 +421,27 @@ impl Engine {
                 path: path.as_ref().to_path_buf(),
             });
         }
+        self.write_layer(db, path.as_ref(), &base.wire, &base.layers)
+    }
+
+    /// Writes `db` to `path` as one layer on `base`, whose files are
+    /// `layers`, and makes the extended chain the engine's live one.
+    fn write_layer(
+        &self,
+        db: &Object,
+        path: &Path,
+        base: &SnapshotHandle,
+        layers: &[PathBuf],
+    ) -> Result<(WriteStats, CheckpointHandle), CheckpointError> {
+        // Pin for the whole write: the writer's own strong references
+        // already keep the nodes alive, but the pin also keeps their
+        // *ids* stable against a sweep triggered by a concurrent engine
+        // (ids are what the node table is keyed off while we walk).
         let _pin = store::pin(db);
         let (roots, meta) = self.checkpoint_roots_meta(db);
-        let (stats, wire) = co_wire::save_delta_to_path(path.as_ref(), &roots, &meta, &base.wire)?;
-        let mut layers = base.layers.clone();
-        layers.push(path.as_ref().to_path_buf());
+        let (stats, wire) = co_wire::save_delta_to_path(path, &roots, &meta, base)?;
+        let mut layers = layers.to_vec();
+        layers.push(path.to_path_buf());
         let handle = CheckpointHandle { wire, layers };
         *self.lock_chain() = Some(handle.clone());
         Ok((stats, handle))
@@ -456,8 +462,8 @@ impl Engine {
         db: &Object,
         mut w: W,
     ) -> Result<WriteStats, CheckpointError> {
-        // Pin for the whole write, as in `checkpoint_full`: ids are what
-        // the node table is keyed off while we walk.
+        // Pin for the whole write, as in `write_layer`: ids are what the
+        // node table is keyed off while we walk.
         let _pin = store::pin(db);
         let (roots, meta) = self.checkpoint_roots_meta(db);
         Ok(co_wire::write_snapshot(&mut w, &roots, &meta)?)
@@ -681,14 +687,14 @@ mod tests {
         // First checkpoint: full.
         let db1 = sample_db();
         let s1 = engine.checkpoint(&db1, dir.join("0.cow")).unwrap();
-        assert_eq!(s1.version, co_wire::FORMAT_VERSION);
+        assert!(!s1.is_delta());
         let h1 = engine.last_checkpoint().unwrap();
         assert_eq!(h1.depth(), 1);
 
         // Second checkpoint, grown database: auto-delta.
         let db2 = co_object::lattice::union(&db1, &obj!([seen: {isaac}]));
         let s2 = engine.checkpoint(&db2, dir.join("1.cow")).unwrap();
-        assert_eq!(s2.version, co_wire::FORMAT_VERSION_DELTA);
+        assert_eq!(s2.base, h1.base_id());
         assert!(
             s2.nodes < s1.nodes,
             "delta {} < full {}",
@@ -703,7 +709,7 @@ mod tests {
         // The inspector agrees about what landed on disk.
         let info = co_wire::describe(dir.join("1.cow")).unwrap();
         assert!(info.is_delta());
-        assert_eq!(info.base.unwrap(), h1.base_id());
+        assert_eq!(info.base, h1.base_id());
 
         // Chain restore: the final database, engine config, and a live
         // handle for continuing the chain.
@@ -721,7 +727,7 @@ mod tests {
             .engine
             .checkpoint_delta(&db3, dir.join("2.cow"), &h3)
             .unwrap();
-        assert_eq!(s3.version, co_wire::FORMAT_VERSION_DELTA);
+        assert_eq!(s3.base, h3.base_id());
         let restored2 = Engine::restore_chain(h4.layers()).unwrap();
         assert_eq!(restored2.database, db3);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -741,14 +747,14 @@ mod tests {
             let stats = engine
                 .checkpoint(&db, dir.join(format!("d{i}.cow")))
                 .unwrap();
-            assert_eq!(stats.version, co_wire::FORMAT_VERSION_DELTA);
+            assert!(stats.is_delta());
         }
         let full_chain = engine.last_checkpoint().unwrap();
         assert_eq!(full_chain.depth(), co_wire::MAX_CHAIN_DEPTH);
 
         // At the cap, auto mode rolls over to a fresh full snapshot…
         let stats = engine.checkpoint(&db, dir.join("rollover.cow")).unwrap();
-        assert_eq!(stats.version, co_wire::FORMAT_VERSION);
+        assert!(!stats.is_delta());
         assert_eq!(engine.last_checkpoint().unwrap().depth(), 1);
 
         // …and the explicit delta API refuses to exceed it.
@@ -768,7 +774,7 @@ mod tests {
         engine.checkpoint(&db, dir.join("d_again.cow")).unwrap();
         assert_eq!(engine.last_checkpoint().unwrap().depth(), 2);
         let stats = engine.checkpoint_full(&db, dir.join("full1.cow")).unwrap();
-        assert_eq!(stats.version, co_wire::FORMAT_VERSION);
+        assert!(!stats.is_delta());
         assert_eq!(engine.last_checkpoint().unwrap().depth(), 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -787,11 +793,7 @@ mod tests {
         for i in 1..=3i64 {
             db = co_object::lattice::union(&db, &Object::set([Object::int(i)]));
             let stats = engine.checkpoint(&db, &path).unwrap();
-            assert_eq!(
-                stats.version,
-                co_wire::FORMAT_VERSION,
-                "overwrite #{i} must be full"
-            );
+            assert!(!stats.is_delta(), "overwrite #{i} must be full");
             let restored = Engine::restore(&path).unwrap();
             assert_eq!(restored.database, db);
         }
@@ -799,13 +801,13 @@ mod tests {
         // Same idiom after a restore (which arms the chain handle).
         let restored = Engine::restore(&path).unwrap();
         let stats = restored.engine.checkpoint(&db, &path).unwrap();
-        assert_eq!(stats.version, co_wire::FORMAT_VERSION);
+        assert!(!stats.is_delta());
         assert!(Engine::restore(&path).is_ok());
 
         // A *different* path still deltas — and respelling a layer path
         // through `./` is caught canonically by the explicit API.
         let stats = restored.engine.checkpoint(&db, dir.join("d.cow")).unwrap();
-        assert_eq!(stats.version, co_wire::FORMAT_VERSION_DELTA);
+        assert!(stats.is_delta());
         let handle = restored.engine.last_checkpoint().unwrap();
         let respelled = dir.join(".").join("d.cow");
         let err = restored

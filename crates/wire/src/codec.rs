@@ -108,7 +108,12 @@ impl<'a> Cursor<'a> {
 /// The FNV-1a 64-bit hash of `bytes` — the snapshot checksum. Not
 /// cryptographic: it detects truncation and bit rot, not tampering.
 pub fn checksum(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    checksum_extend(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// Continues a [`checksum`] over more bytes: `checksum_extend(checksum(a),
+/// b)` is the checksum of `a` followed by `b`.
+pub(crate) fn checksum_extend(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
@@ -179,5 +184,6 @@ mod tests {
     fn checksum_is_stable_and_sensitive() {
         assert_eq!(checksum(b""), 0xcbf2_9ce4_8422_2325);
         assert_ne!(checksum(b"abc"), checksum(b"abd"));
+        assert_eq!(checksum_extend(checksum(b"ab"), b"c"), checksum(b"abc"));
     }
 }

@@ -34,18 +34,19 @@ pub enum WireError {
         /// The version found in the header.
         found: u32,
     },
-    /// A delta (version-2) snapshot was read without its base: delta
-    /// records only carry the nodes their base lacks, so they can only be
-    /// restored as a chain (see `read_chain` / `load_chain`).
+    /// A delta — a layer whose header links a non-empty base — was read
+    /// without that base: it only carries the nodes its base lacks, so it
+    /// can only be restored as a chain (see `read_chain` / `load_chain`).
     BaseRequired {
-        /// Payload checksum of the base the delta was written against.
+        /// Checksum of the newest layer of the base the delta was written on.
         checksum: u64,
         /// Node count of that base (cumulative over its own chain).
         nodes: u64,
     },
-    /// A delta snapshot was applied to the wrong base: the base identity
-    /// the delta declares (payload checksum + cumulative node count) does
-    /// not match the chain restored so far.
+    /// A layer was applied to the wrong base: the base identity its
+    /// header declares (layer checksum + cumulative node count) does not
+    /// match the chain restored so far. A full snapshot in the middle of a
+    /// chain is one, since it declares the empty base.
     BaseMismatch {
         /// The base checksum the delta declares.
         expected_checksum: u64,
@@ -67,12 +68,12 @@ pub enum WireError {
         /// What was being read when the input ran out.
         context: &'static str,
     },
-    /// The payload does not hash to the checksum the header declares:
-    /// the snapshot was corrupted after it was written.
+    /// The header fields and payload do not hash to the checksum the
+    /// header declares: the snapshot was corrupted after it was written.
     ChecksumMismatch {
         /// The checksum recorded in the header.
         expected: u64,
-        /// The checksum of the payload actually read.
+        /// The checksum of the header fields and payload actually read.
         actual: u64,
     },
     /// A node record referenced a local id at or past its own position —
@@ -122,9 +123,8 @@ impl fmt::Display for WireError {
             }
             WireError::UnsupportedVersion { found } => write!(
                 f,
-                "unsupported snapshot format version {found} (this reader supports versions {}-{})",
-                crate::FORMAT_VERSION,
-                crate::FORMAT_VERSION_DELTA
+                "unsupported snapshot format version {found} (this reader reads version {} only)",
+                crate::FORMAT_VERSION
             ),
             WireError::BaseRequired { checksum, nodes } => write!(
                 f,
@@ -138,7 +138,7 @@ impl fmt::Display for WireError {
                 found_nodes,
             } => write!(
                 f,
-                "delta snapshot base mismatch: written against base {expected_checksum:#018x} \
+                "snapshot base mismatch: layer written against base {expected_checksum:#018x} \
                  with {expected_nodes} nodes, but the supplied base is {found_checksum:#018x} \
                  with {found_nodes} nodes"
             ),
@@ -155,7 +155,7 @@ impl fmt::Display for WireError {
             WireError::ChecksumMismatch { expected, actual } => write!(
                 f,
                 "snapshot checksum mismatch: header declares {expected:#018x}, \
-                 payload hashes to {actual:#018x}"
+                 header fields and payload hash to {actual:#018x}"
             ),
             WireError::DanglingRef { id, defined } => write!(
                 f,

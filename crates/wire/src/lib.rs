@@ -8,76 +8,39 @@
 //! encoded exactly once and referenced by a dense local id — so the file
 //! size tracks the store's node count, not the exponential tree size.
 //!
-//! # Format (version 1 — full snapshots)
+//! # Format (version 4)
+//!
+//! There is one format. Every snapshot is a **layer** on a *base* — the
+//! layers written before it — and names that base in its header. A full
+//! snapshot is a layer on the empty base, whose link is all zero.
 //!
 //! ```text
-//! header   48 bytes  magic "COWIRE\r\n" · version u32 · reserved u32
-//!                    (zero in versions 1 and 2; the columnar record
-//!                    count in version 3)
+//! header   60 bytes  magic "COWIRE\r\n" · version u32
 //!                    · node count u64 · root count u64
-//!                    · payload length u64 · FNV-1a-64 checksum u64
+//!                    · payload length u64
+//!                    · base link: base checksum u64 · base node count u64
+//!                      (both zero for the empty base)
+//!                    · FNV-1a-64 checksum u64 over the header bytes
+//!                      between the magic and the checksum, then the
+//!                      payload
 //! payload            symbol table   varint count, then per symbol a
 //!                                   length-prefixed UTF-8 string
 //!                                   (attribute names + string atoms,
 //!                                   each distinct spelling once)
 //!                    node table     `node count` records, children
-//!                                   strictly before parents; each record
-//!                                   is a tuple/set tag, a child count,
-//!                                   and per child an attribute symbol
-//!                                   (tuples only) plus a value
+//!                                   strictly before parents
 //!                    root table     `root count` values
 //!                    metadata       varint length + opaque bytes for the
 //!                                   embedding application (co-engine
 //!                                   stores its program and config here)
 //! ```
 //!
-//! A *value* is one tagged unit: ⊥, ⊤, an inline atom (bool/int/float,
-//! strings by symbol index), or a backward reference into the node table.
-//! Forward or out-of-range references are a typed error — the topological
-//! order is what lets the reader work in one streaming pass.
-//!
-//! # Format (version 2 — delta snapshots)
-//!
-//! The node table is content-addressed by construction: every distinct
-//! node is written exactly once, so a snapshot of a database that mostly
-//! overlaps an earlier one re-pays for all the shared nodes. A **delta**
-//! snapshot fixes that. [`write_delta_snapshot`] encodes, against a named
-//! *base* — identified by the base's payload checksum plus its cumulative
-//! node count — only the nodes the base lacks. The layout is version 1's
-//! with one prepended structure:
+//! All integers in the header are little-endian. A node record is one of:
 //!
 //! ```text
-//! payload            base link      base checksum u64 (little-endian)
-//!                                   · base node count u64
-//!                    symbol table, node table, root table, metadata
-//!                                   as in version 1
-//! ```
-//!
-//! Local ids live in a **combined id space**: ids `0..base_nodes` name
-//! base-resident nodes (the base's own local ids, or for a chained base
-//! the concatenation of its layers), and ids from `base_nodes` upward
-//! name this delta's new nodes in table order. References still point
-//! strictly backwards.
-//!
-//! A chain `full → delta → delta → …` is restored with [`read_chain`] /
-//! [`load_chain`], which streams each layer through the same bottom-up
-//! re-interning pass, verifying each link: a layer whose declared base
-//! identity does not match the chain restored so far is rejected with
-//! [`WireError::BaseMismatch`], a delta without its base with
-//! [`WireError::BaseRequired`], and chains deeper than
-//! [`MAX_CHAIN_DEPTH`] with [`WireError::ChainTooDeep`] — compact them
-//! first with [`compact_chain`]. [`describe`] inspects any snapshot file
-//! without restoring it.
-//!
-//! # Format (version 3 — columnar full snapshots)
-//!
-//! A flat relation — a set whose elements are all same-schema tuples of
-//! atoms — shares almost nothing: every row tuple is distinct, so the
-//! node table pays a full record (tag, arity, and one attribute symbol
-//! index per column) for every row. [`write_snapshot_columnar`] encodes
-//! such sets as one **columnar** record instead:
-//!
-//! ```text
+//! tuple record       tag 0x10 · entry count varint
+//!                    · per entry an attribute symbol index and a value
+//! set record         tag 0x11 · element count varint · per element a value
 //! flat-set record    tag 0x12 · arity varint
 //!                    · per column an attribute symbol index
 //!                    · row count varint
@@ -86,33 +49,61 @@
 //!                      never a node reference)
 //! ```
 //!
-//! The schema is spelled once, and row tuples whose only references are
-//! from columnar sets are **pruned** from the node table entirely (a row
-//! tuple that is also a root or a child of an ordinary node keeps its
-//! record — the columns carry an inline copy). The reader rebuilds every
-//! row bottom-up through the same canonicalizing constructors as any
-//! other node, so a columnar snapshot restores to bit-identical objects
-//! and `NodeId`s. Eligibility and the row threshold are
-//! [`co_object::columnar`]'s (`CO_COLUMNAR_MIN_ROWS`); when no set
-//! qualifies, the writer falls back to a byte-identical **version 1**
-//! snapshot, and a version-3 file that contains no columnar record is
-//! rejected as [`WireError::Malformed`] — so a flipped version byte
-//! cannot silently reinterpret a v1 payload. Deltas (version 2) never
-//! emit the columnar tag.
+//! A *value* is one tagged unit: ⊥, ⊤, an inline atom (bool/int/float,
+//! strings by symbol index), or a backward reference into the node table.
+//! Forward or out-of-range references are a typed error — the topological
+//! order is what lets the reader work in one streaming pass.
 //!
-//! A version-3 header stores the columnar record count in the 4 bytes
-//! that versions 1 and 2 reserve as zero: [`describe`] can report it
-//! without restoring, and a flipped version byte fails **header**
-//! validation in either direction (a v3 header with a zero count, or a
-//! v1/v2 header with a nonzero "reserved" field, is malformed). The
-//! reader additionally verifies the declared count against the records
-//! actually decoded.
+//! # Layers and chains
 //!
-//! **Compatibility policy:** version 1 remains readable forever — every
-//! reader entry point accepts it, and full snapshots are still written as
-//! version 1 so older tooling can read new checkpoints that don't use
-//! deltas or the columnar fast path. Unknown versions are hard
-//! [`WireError::UnsupportedVersion`] errors, never a best-effort parse.
+//! Local ids live in a **combined id space**: ids `0..base nodes` name
+//! the base's nodes (the concatenation of its layers' tables), and ids
+//! from `base nodes` upward name this layer's nodes in table order. On
+//! the empty base that is just the layer's own table.
+//!
+//! [`write_delta_snapshot`] encodes a layer on a [`SnapshotHandle`]:
+//! only the nodes the base lacks, referencing everything else by id. On
+//! [`SnapshotHandle::empty`] that is a full snapshot, which is what
+//! [`write_snapshot`] writes. The base is named by its newest layer's
+//! checksum plus its cumulative node count.
+//!
+//! A chain `full → delta → delta → …` is restored with [`read_chain`] /
+//! [`load_chain`], which streams each layer through the same bottom-up
+//! re-interning pass and checks each layer's base link against the chain
+//! read so far, starting from the empty base. A link that does not match
+//! is [`WireError::BaseRequired`] when nothing has been read yet (a delta
+//! on its own) and [`WireError::BaseMismatch`] otherwise (a wrong base, or
+//! a full snapshot in the middle of a chain). Chains deeper than
+//! [`MAX_CHAIN_DEPTH`] are [`WireError::ChainTooDeep`] — compact them
+//! first with [`compact_chain`]. [`describe`] inspects any snapshot file
+//! without restoring it.
+//!
+//! # Columnar records
+//!
+//! A flat relation — a set whose elements are all same-schema tuples of
+//! atoms — shares almost nothing: every row tuple is distinct, so the
+//! node table pays a full record (tag, arity, and one attribute symbol
+//! index per column) for every row. [`write_snapshot_columnar`] encodes
+//! such sets as one flat-set record instead. The schema is spelled once,
+//! and row tuples whose only references are from columnar sets are
+//! **pruned** from the node table entirely (a row tuple that is also a
+//! root or a child of an ordinary node keeps its record — the columns
+//! carry an inline copy). The reader rebuilds every row bottom-up through
+//! the same canonicalizing constructors as any other node, so a columnar
+//! snapshot restores to bit-identical objects and `NodeId`s. Eligibility
+//! and the row threshold are [`co_object::columnar`]'s
+//! (`CO_COLUMNAR_MIN_ROWS`); when no set qualifies, the bytes are the
+//! ones [`write_snapshot`] writes.
+//!
+//! The columnar encoding is an explicit writer choice, never picked
+//! automatically: the rows it prunes are not in its [`SnapshotHandle`],
+//! so a delta on a columnar base re-encodes every such row it reaches.
+//! The reader accepts flat-set records in every layer.
+//!
+//! **Compatibility policy:** this build reads and writes version 4 only.
+//! Any other version — the earlier builds' 1, 2 and 3 included — is a
+//! hard [`WireError::UnsupportedVersion`] error, never a best-effort
+//! parse.
 //!
 //! # Re-interning
 //!
@@ -147,15 +138,18 @@
 //!
 //! ```
 //! use co_object::obj;
+//! use co_wire::SnapshotHandle;
 //!
 //! let v1 = obj!([db: {1, 2}]);
 //! let mut base = Vec::new();
-//! let (_, handle) = co_wire::write_snapshot_handle(&mut base, &[v1], b"").unwrap();
+//! let (_, handle) =
+//!     co_wire::write_delta_snapshot(&mut base, &[v1], b"", &SnapshotHandle::empty()).unwrap();
 //!
 //! let v2 = obj!([db: {1, 2, 3}]);
 //! let mut delta = Vec::new();
 //! let (stats, _) =
 //!     co_wire::write_delta_snapshot(&mut delta, &[v2.clone()], b"", &handle).unwrap();
+//! assert!(stats.is_delta());
 //! assert!(stats.nodes < 3); // only what the base lacks
 //!
 //! let (snap, _) = co_wire::read_chain([base.as_slice(), delta.as_slice()]).unwrap();
@@ -172,7 +166,7 @@ pub use error::WireError;
 
 use co_object::walk::{visit_unique_postorder, visit_unique_postorder_pruned};
 use co_object::{Atom, Attr, NodeId, Object};
-use codec::{checksum, put_str, put_varint, put_varint_i64, Cursor};
+use codec::{checksum, checksum_extend, put_str, put_varint, put_varint_i64, Cursor};
 use rustc_hash::{FxHashMap, FxHashSet};
 use std::io::{Read, Write};
 use std::path::Path;
@@ -182,18 +176,8 @@ use std::path::Path;
 /// text.
 pub const MAGIC: [u8; 8] = *b"COWIRE\r\n";
 
-/// The format version this build writes for **full** snapshots, readable
-/// by every `co-wire` since PR 4 — version 1 stays readable forever.
-pub const FORMAT_VERSION: u32 = 1;
-
-/// The format version this build writes for **delta** snapshots (nodes
-/// encoded against a base snapshot; restored as a chain).
-pub const FORMAT_VERSION_DELTA: u32 = 2;
-
-/// The format version [`write_snapshot_columnar`] writes when at least
-/// one flat relation qualified for a columnar record (see the module
-/// docs); with no qualifying set it falls back to [`FORMAT_VERSION`].
-pub const FORMAT_VERSION_COLUMNAR: u32 = 3;
+/// The one format version this build reads and writes.
+pub const FORMAT_VERSION: u32 = 4;
 
 /// The maximum number of layers (one full + deltas) a snapshot chain may
 /// have. Deeper chains are rejected with [`WireError::ChainTooDeep`];
@@ -202,10 +186,9 @@ pub const FORMAT_VERSION_COLUMNAR: u32 = 3;
 pub const MAX_CHAIN_DEPTH: usize = 16;
 
 /// Fixed size of the snapshot header in bytes.
-pub const HEADER_LEN: usize = 48;
+pub const HEADER_LEN: usize = 60;
 
-// Node-record tags (node table). `NODE_FLAT_SET` is only accepted in
-// version-3 payloads; anywhere else it is a [`WireError::BadTag`].
+// Node-record tags (node table).
 const NODE_TUPLE: u8 = 0x10;
 const NODE_SET: u8 = 0x11;
 const NODE_FLAT_SET: u8 = 0x12;
@@ -230,35 +213,45 @@ pub struct Snapshot {
     pub meta: Vec<u8>,
 }
 
-/// The identity of a snapshot as a **delta base**: enough to verify that
-/// a delta is being applied to the content it was written against.
+/// The identity of a snapshot as a **base**: enough to verify that a
+/// layer is being applied to the content it was written against. Every
+/// header carries one, as its base link.
 ///
-/// The checksum is the base layer's payload checksum; the node count is
+/// The checksum is the base's newest layer checksum; the node count is
 /// cumulative over the base's own chain. Together they pin the base's
 /// content *and* its local-id space: two bases with equal checksums and
 /// node counts decode to identical node tables, so every base-local id a
-/// delta uses means the same node.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// layer uses means the same node. [`BaseId::EMPTY`] names the empty
+/// base that full snapshots are written on.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BaseId {
-    /// Payload checksum of the base's last layer.
+    /// Checksum of the base's newest layer (zero for the empty base).
     pub checksum: u64,
     /// Cumulative node count of the base chain.
     pub nodes: u64,
 }
 
+impl BaseId {
+    /// The empty base: the link of every full snapshot.
+    pub const EMPTY: BaseId = BaseId {
+        checksum: 0,
+        nodes: 0,
+    };
+}
+
 /// A live handle onto a written (or restored) snapshot: what
-/// [`write_delta_snapshot`] needs to encode a new layer against it.
+/// [`write_delta_snapshot`] needs to encode a new layer on it.
 ///
 /// The handle maps the **live `NodeId`** of every node in the snapshot to
 /// its combined-space local id. It holds no strong references: freed ids
 /// are never recycled by the store, so a stale entry can never be looked
 /// up again (a re-derivation of freed content gets a fresh id, misses the
 /// map, and is simply re-encoded in the next delta — larger, never
-/// wrong). Handles come from [`write_snapshot_handle`],
-/// [`write_delta_snapshot`], [`read_chain`], and their path variants.
+/// wrong). Handles come from [`SnapshotHandle::empty`],
+/// [`write_delta_snapshot`], [`read_chain`], and their variants.
 #[derive(Clone, Debug)]
 pub struct SnapshotHandle {
-    /// Payload checksum of the newest layer.
+    /// Checksum of the newest layer.
     checksum: u64,
     /// Cumulative node count across all layers.
     count: u64,
@@ -267,7 +260,16 @@ pub struct SnapshotHandle {
 }
 
 impl SnapshotHandle {
-    /// The identity a delta written against this handle will declare.
+    /// The empty base: a layer written on it is a full snapshot.
+    pub fn empty() -> SnapshotHandle {
+        SnapshotHandle {
+            checksum: 0,
+            count: 0,
+            locals: FxHashMap::default(),
+        }
+    }
+
+    /// The identity a layer written on this handle will declare.
     pub fn base_id(&self) -> BaseId {
         BaseId {
             checksum: self.checksum,
@@ -275,7 +277,7 @@ impl SnapshotHandle {
         }
     }
 
-    /// Payload checksum of the newest layer of this snapshot.
+    /// Checksum of the newest layer of this snapshot.
     pub fn checksum(&self) -> u64 {
         self.checksum
     }
@@ -295,11 +297,8 @@ impl SnapshotHandle {
 /// and for the sharing-ratio accounting the benches record.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WriteStats {
-    /// Format version written: [`FORMAT_VERSION`] for full snapshots,
-    /// [`FORMAT_VERSION_DELTA`] for deltas, [`FORMAT_VERSION_COLUMNAR`]
-    /// for full snapshots that used the columnar fast path (0 for a
-    /// default value that never came from a write).
-    pub version: u32,
+    /// The base link written: [`BaseId::EMPTY`] for a full snapshot.
+    pub base: BaseId,
     /// Distinct composite nodes encoded (each exactly once). For a delta,
     /// only the nodes the base lacked.
     pub nodes: u64,
@@ -319,9 +318,8 @@ pub struct WriteStats {
     pub base_nodes_reused: u64,
     /// Flat relations encoded as columnar records (0 unless the write
     /// came from [`write_snapshot_columnar`] and at least one set
-    /// qualified — in which case `version` is
-    /// [`FORMAT_VERSION_COLUMNAR`]). Counted in `nodes`; the row tuples
-    /// the columns absorbed are not.
+    /// qualified). Counted in `nodes`; the row tuples the columns
+    /// absorbed are not.
     pub columnar_sets: u64,
 }
 
@@ -331,34 +329,40 @@ impl WriteStats {
     pub fn bytes_per_node(&self) -> Option<f64> {
         (self.nodes > 0).then(|| self.payload_bytes as f64 / self.nodes as f64)
     }
+
+    /// Whether this write was a delta: a layer on a non-empty base.
+    pub fn is_delta(&self) -> bool {
+        self.base != BaseId::EMPTY
+    }
 }
 
 impl std::fmt::Display for WriteStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        if self.version == FORMAT_VERSION_DELTA {
+        if self.is_delta() {
             write!(
                 f,
-                "delta snapshot: {} new nodes (+{} referenced from base), {} roots, \
-                 {} symbols, {} payload bytes ({} total)",
-                self.nodes,
-                self.base_nodes_reused,
-                self.roots,
-                self.symbols,
-                self.payload_bytes,
-                self.total_bytes
-            )
-        } else {
-            write!(
-                f,
-                "snapshot: {} nodes, {} roots, {} symbols, {} payload bytes ({} total)",
-                self.nodes, self.roots, self.symbols, self.payload_bytes, self.total_bytes
+                "delta snapshot: {} new nodes (+{} referenced from base)",
+                self.nodes, self.base_nodes_reused
             )?;
-            if self.columnar_sets > 0 {
-                write!(f, ", {} columnar relations", self.columnar_sets)?;
-            }
-            Ok(())
+        } else {
+            write!(f, "snapshot: {} nodes", self.nodes)?;
         }
+        write!(
+            f,
+            ", {} roots, {} symbols, {} payload bytes ({} total)",
+            self.roots, self.symbols, self.payload_bytes, self.total_bytes
+        )?;
+        if self.columnar_sets > 0 {
+            write!(f, ", {} columnar relations", self.columnar_sets)?;
+        }
+        Ok(())
     }
+}
+
+/// The layer checksum: FNV-1a-64 over the header bytes between the magic
+/// and the checksum field (`fields`), then the payload.
+fn layer_checksum(fields: &[u8], payload: &[u8]) -> u64 {
+    checksum_extend(checksum(fields), payload)
 }
 
 // ---------------------------------------------------------------------------
@@ -366,18 +370,19 @@ impl std::fmt::Display for WriteStats {
 // ---------------------------------------------------------------------------
 
 /// Write-side state threaded through value encoding: the symbol table
-/// under construction, this layer's local ids, and the optional base.
-struct Encoder<'a> {
+/// under construction and the combined-space local ids.
+struct Encoder {
     symbols: Vec<String>,
     by_name: FxHashMap<String, u64>,
-    /// New nodes of this layer → combined-space local id.
+    /// Base nodes, then this layer's new nodes → combined-space local id.
     locals: FxHashMap<NodeId, u64>,
-    base: Option<&'a SnapshotHandle>,
+    /// Cumulative node count of the base: local ids below it are reuses.
+    base_count: u64,
     /// Distinct base-resident nodes referenced (delta accounting).
     reused: FxHashSet<NodeId>,
 }
 
-impl Encoder<'_> {
+impl Encoder {
     /// Interns a symbol (attribute name or string-atom payload) into the
     /// write-side symbol table, returning its dense index.
     fn symbol(&mut self, name: &str) -> u64 {
@@ -420,15 +425,11 @@ impl Encoder<'_> {
             Object::Atom(a) => self.atom(out, a),
             Object::Tuple(_) | Object::Set(_) => {
                 let id = o.node_id().expect("composites have node ids");
-                let local = match self.locals.get(&id) {
-                    Some(&local) => local,
-                    None => {
-                        // Pruned from the walk, so it must be in the base.
-                        let base = self.base.expect("full writes enumerate every composite");
-                        self.reused.insert(id);
-                        base.locals[&id]
-                    }
-                };
+                // The walk enumerates every composite the base lacks.
+                let local = self.locals[&id];
+                if local < self.base_count {
+                    self.reused.insert(id);
+                }
                 out.push(VAL_NODE);
                 put_varint(out, local);
             }
@@ -453,14 +454,14 @@ fn wire_instruments() -> &'static WireInstruments {
     })
 }
 
-/// The shared writer: encodes `roots` (plus `meta`) as one layer — full
-/// when `base` is `None`, a delta against `base` otherwise — and returns
-/// the stats plus a handle onto the written snapshot (base included).
+/// The shared writer: encodes `roots` (plus `meta`) as one layer on
+/// `base` and returns the stats plus a handle onto the written snapshot
+/// (base included).
 fn write_snapshot_impl<W: Write>(
     w: W,
     roots: &[Object],
     meta: &[u8],
-    base: Option<&SnapshotHandle>,
+    base: &SnapshotHandle,
     columnar: bool,
 ) -> Result<(WriteStats, SnapshotHandle), WireError> {
     let start = std::time::Instant::now();
@@ -475,32 +476,27 @@ fn write_snapshot_inner<W: Write>(
     mut w: W,
     roots: &[Object],
     meta: &[u8],
-    base: Option<&SnapshotHandle>,
+    base: &SnapshotHandle,
     columnar: bool,
 ) -> Result<(WriteStats, SnapshotHandle), WireError> {
-    let base_count = base.map_or(0, |b| b.count);
-
-    // Pass 1: the distinct-node table, children before parents — pruned
-    // at base-resident nodes for a delta (every node in a snapshot has
-    // all its descendants there too, so pruning loses nothing).
+    // Pass 1: the distinct-node table, children before parents, pruned
+    // at base-resident nodes (every node in a snapshot has all its
+    // descendants there too, so pruning loses nothing).
     let mut nodes: Vec<Object> = Vec::new();
-    match base {
-        Some(b) => visit_unique_postorder_pruned(
-            roots.iter(),
-            |id| b.contains(id),
-            |o| nodes.push(o.clone()),
-        ),
-        None => visit_unique_postorder(roots.iter(), |o| nodes.push(o.clone())),
-    }
+    visit_unique_postorder_pruned(
+        roots.iter(),
+        |id| base.contains(id),
+        |o| nodes.push(o.clone()),
+    );
 
-    // Columnar pass (full snapshots only): pick the flat relations that
-    // get a `NODE_FLAT_SET` record, then prune the row tuples whose only
-    // references are from those relations — their cells carry them. A
-    // row tuple that is also a root, or a child of any ordinary node,
-    // keeps its own record (`Encoder::value` must be able to name it).
+    // Columnar pass: pick the flat relations that get a `NODE_FLAT_SET`
+    // record, then prune the row tuples whose only references are from
+    // those relations — their cells carry them. A row tuple that is also
+    // a root, or a child of any ordinary node, keeps its own record
+    // (`Encoder::value` must be able to name it).
     let mut columnar_of: FxHashMap<NodeId, std::sync::Arc<co_object::columnar::ColumnarRel>> =
         FxHashMap::default();
-    if columnar && base.is_none() {
+    if columnar {
         for node in &nodes {
             if let Object::Set(s) = node {
                 if let Some(cols) = co_object::columnar::arena_for(s) {
@@ -541,14 +537,14 @@ fn write_snapshot_inner<W: Write>(
     let mut enc = Encoder {
         symbols: Vec::new(),
         by_name: FxHashMap::default(),
-        locals: FxHashMap::default(),
-        base,
+        locals: base.locals.clone(),
+        base_count: base.count,
         reused: FxHashSet::default(),
     };
     for (ix, node) in nodes.iter().enumerate() {
         enc.locals.insert(
             node.node_id().expect("walk yields composites"),
-            base_count + ix as u64,
+            base.count + ix as u64,
         );
     }
 
@@ -597,12 +593,8 @@ fn write_snapshot_inner<W: Write>(
         enc.value(&mut root_table, root);
     }
 
-    // Assemble the payload: [base link,] symbols, nodes, roots, metadata.
+    // Assemble the payload: symbols, nodes, roots, metadata.
     let mut payload: Vec<u8> = Vec::new();
-    if let Some(b) = base {
-        payload.extend_from_slice(&b.checksum.to_le_bytes());
-        payload.extend_from_slice(&b.count.to_le_bytes());
-    }
     put_varint(&mut payload, enc.symbols.len() as u64);
     for s in &enc.symbols {
         put_str(&mut payload, s);
@@ -612,27 +604,16 @@ fn write_snapshot_inner<W: Write>(
     put_varint(&mut payload, meta.len() as u64);
     payload.extend_from_slice(meta);
 
-    // Header last: it needs the counts and the payload checksum. A
-    // columnar write with zero qualifying sets emitted no 0x12 records,
-    // so it *is* a plain version-1 snapshot — label it as one.
-    let version = if base.is_some() {
-        FORMAT_VERSION_DELTA
-    } else if !columnar_of.is_empty() {
-        FORMAT_VERSION_COLUMNAR
-    } else {
-        FORMAT_VERSION
-    };
-    let sum = checksum(&payload);
-    let columnar_count =
-        u32::try_from(columnar_of.len()).expect("columnar record count fits the header field");
+    // Header last: it needs the counts, and the checksum covers it.
     let mut header = Vec::with_capacity(HEADER_LEN);
     header.extend_from_slice(&MAGIC);
-    header.extend_from_slice(&version.to_le_bytes());
-    // Reserved in versions 1 and 2 (zero); the columnar count in v3.
-    header.extend_from_slice(&columnar_count.to_le_bytes());
+    header.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
     header.extend_from_slice(&(nodes.len() as u64).to_le_bytes());
     header.extend_from_slice(&(roots.len() as u64).to_le_bytes());
     header.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    header.extend_from_slice(&base.checksum.to_le_bytes());
+    header.extend_from_slice(&base.count.to_le_bytes());
+    let sum = layer_checksum(&header[MAGIC.len()..], &payload);
     header.extend_from_slice(&sum.to_le_bytes());
     debug_assert_eq!(header.len(), HEADER_LEN);
 
@@ -641,7 +622,7 @@ fn write_snapshot_inner<W: Write>(
     w.flush()?;
 
     let stats = WriteStats {
-        version,
+        base: base.base_id(),
         nodes: nodes.len() as u64,
         roots: roots.len() as u64,
         symbols: enc.symbols.len() as u64,
@@ -650,26 +631,18 @@ fn write_snapshot_inner<W: Write>(
         base_nodes_reused: enc.reused.len() as u64,
         columnar_sets: columnar_of.len() as u64,
     };
-    let locals = match base {
-        Some(b) => {
-            let mut combined = b.locals.clone();
-            combined.extend(enc.locals.iter().map(|(id, local)| (*id, *local)));
-            combined
-        }
-        None => enc.locals,
-    };
     let handle = SnapshotHandle {
         checksum: sum,
-        count: base_count + nodes.len() as u64,
-        locals,
+        count: base.count + nodes.len() as u64,
+        locals: enc.locals,
     };
     Ok((stats, handle))
 }
 
 /// Serializes `roots` (plus `meta`, an opaque blob the reader hands back
-/// verbatim) as one full (version 1) snapshot into `w`. Each distinct
-/// interned node reachable from the roots is encoded exactly once,
-/// children before parents.
+/// verbatim) as one full snapshot into `w`: a layer on the empty base.
+/// Each distinct interned node reachable from the roots is encoded
+/// exactly once, children before parents.
 ///
 /// The writer holds strong references to every root for the whole write,
 /// so a concurrent [`co_object::store::collect`] cannot free anything
@@ -680,45 +653,35 @@ pub fn write_snapshot<W: Write>(
     roots: &[Object],
     meta: &[u8],
 ) -> Result<WriteStats, WireError> {
-    write_snapshot_impl(w, roots, meta, None, false).map(|(stats, _)| stats)
+    write_snapshot_impl(w, roots, meta, &SnapshotHandle::empty(), false).map(|(stats, _)| stats)
 }
 
-/// [`write_snapshot`], additionally returning a [`SnapshotHandle`] for
-/// writing delta snapshots against the result.
-pub fn write_snapshot_handle<W: Write>(
-    w: W,
-    roots: &[Object],
-    meta: &[u8],
-) -> Result<(WriteStats, SnapshotHandle), WireError> {
-    write_snapshot_impl(w, roots, meta, None, false)
-}
-
-/// [`write_snapshot`], with the **columnar fast path**: flat relations
-/// that qualify for a [`co_object::columnar`] arena (same-schema rows of
+/// A full snapshot with the **columnar fast path**: flat relations that
+/// qualify for a [`co_object::columnar`] arena (same-schema rows of
 /// atoms, at least `CO_COLUMNAR_MIN_ROWS` of them) are encoded as
 /// schema-once column-major records, and their row tuples — when nothing
 /// outside the relation references them — are pruned from the node
-/// table. Writes [`FORMAT_VERSION_COLUMNAR`] when at least one set
-/// qualified (see [`WriteStats::columnar_sets`]), otherwise falls back
-/// to a byte-identical version-1 snapshot.
+/// table (see [`WriteStats::columnar_sets`]). With no qualifying set the
+/// bytes are exactly [`write_snapshot`]'s.
 ///
 /// Restoring re-interns every row through the canonicalizing
-/// constructors, so the result is bit-identical to a version-1 write of
-/// the same roots — the columnar record is purely an encoding choice.
+/// constructors, so the result is bit-identical to a [`write_snapshot`]
+/// of the same roots — the columnar record is purely an encoding choice.
 pub fn write_snapshot_columnar<W: Write>(
     w: W,
     roots: &[Object],
     meta: &[u8],
 ) -> Result<(WriteStats, SnapshotHandle), WireError> {
-    write_snapshot_impl(w, roots, meta, None, true)
+    write_snapshot_impl(w, roots, meta, &SnapshotHandle::empty(), true)
 }
 
-/// Serializes `roots` as a **delta** (version 2) snapshot against `base`:
-/// only nodes the base lacks are encoded; everything already resident is
-/// referenced by its base-local id. Returns the stats and a handle onto
-/// the extended chain, for writing the next delta.
+/// Serializes `roots` as a layer on `base`: only nodes the base lacks
+/// are encoded; everything already resident is referenced by its
+/// base-local id. On [`SnapshotHandle::empty`] the result is a full
+/// snapshot. Returns the stats and a handle onto the extended chain, for
+/// writing the next delta.
 ///
-/// Restore the result with [`read_chain`] / [`load_chain`], supplying the
+/// Restore a delta with [`read_chain`] / [`load_chain`], supplying the
 /// base's layers first.
 pub fn write_delta_snapshot<W: Write>(
     w: W,
@@ -726,7 +689,7 @@ pub fn write_delta_snapshot<W: Write>(
     meta: &[u8],
     base: &SnapshotHandle,
 ) -> Result<(WriteStats, SnapshotHandle), WireError> {
-    write_snapshot_impl(w, roots, meta, Some(base), false)
+    write_snapshot_impl(w, roots, meta, base, false)
 }
 
 // ---------------------------------------------------------------------------
@@ -818,28 +781,9 @@ pub fn save_to_path(
     save_atomically(path.as_ref(), |w| write_snapshot(w, roots, meta))
 }
 
-/// [`save_to_path`], additionally returning a [`SnapshotHandle`] for
-/// writing delta snapshots against the saved file.
-pub fn save_to_path_handle(
-    path: impl AsRef<Path>,
-    roots: &[Object],
-    meta: &[u8],
-) -> Result<(WriteStats, SnapshotHandle), WireError> {
-    save_atomically(path.as_ref(), |w| write_snapshot_handle(w, roots, meta))
-}
-
-/// [`write_snapshot_columnar`] to a file, atomically (same temp + rename
-/// contract as [`save_to_path`]).
-pub fn save_columnar_to_path(
-    path: impl AsRef<Path>,
-    roots: &[Object],
-    meta: &[u8],
-) -> Result<(WriteStats, SnapshotHandle), WireError> {
-    save_atomically(path.as_ref(), |w| write_snapshot_columnar(w, roots, meta))
-}
-
 /// [`write_delta_snapshot`] to a file, atomically (same temp + rename
-/// contract as [`save_to_path`]).
+/// contract as [`save_to_path`]). On [`SnapshotHandle::empty`] this saves
+/// a full snapshot and returns a handle for the deltas that follow it.
 pub fn save_delta_to_path(
     path: impl AsRef<Path>,
     roots: &[Object],
@@ -857,65 +801,43 @@ pub fn save_delta_to_path(
 
 /// A validated snapshot header.
 struct Header {
-    version: u32,
-    /// Columnar records declared (version 3 only; zero otherwise).
-    columnar: u32,
     node_count: u64,
     root_count: u64,
-    payload_len: usize,
+    base: BaseId,
     checksum: u64,
 }
 
-/// Reads and structurally validates the 48-byte header: magic, version
-/// window, zeroed reserved bytes, and count plausibility (each node and
-/// root record is at least one payload byte). The header is not covered
-/// by the payload checksum, so these checks are what stands between a
-/// flipped header bit and a misparse.
-fn read_header<R: Read>(r: &mut R) -> Result<Header, WireError> {
-    let mut header = [0u8; HEADER_LEN];
-    r.read_exact(&mut header).map_err(|e| {
+/// Reads one layer's header and payload. The header is structurally
+/// validated first — magic, version, and count plausibility (each node
+/// and root record is at least one payload byte) — and then the checksum
+/// is verified over the header fields and the payload together, before
+/// any of the structure is trusted.
+fn read_verified<R: Read>(r: &mut R) -> Result<(Header, Vec<u8>), WireError> {
+    let mut raw = [0u8; HEADER_LEN];
+    r.read_exact(&mut raw).map_err(|e| {
         if e.kind() == std::io::ErrorKind::UnexpectedEof {
             WireError::Truncated { context: "header" }
         } else {
             WireError::Io(e)
         }
     })?;
-    let magic: [u8; 8] = header[0..8].try_into().expect("8 bytes");
+    let magic: [u8; 8] = raw[0..8].try_into().expect("8 bytes");
     if magic != MAGIC {
         return Err(WireError::BadMagic { found: magic });
     }
-    let version = u32::from_le_bytes(header[8..12].try_into().expect("4 bytes"));
-    if version != FORMAT_VERSION
-        && version != FORMAT_VERSION_DELTA
-        && version != FORMAT_VERSION_COLUMNAR
-    {
+    let version = u32::from_le_bytes(raw[8..12].try_into().expect("4 bytes"));
+    if version != FORMAT_VERSION {
         return Err(WireError::UnsupportedVersion { found: version });
     }
-    let reserved = u32::from_le_bytes(header[12..16].try_into().expect("4 bytes"));
-    if version == FORMAT_VERSION_COLUMNAR {
-        if reserved == 0 {
-            return Err(WireError::Malformed {
-                detail: "version 3 header declares zero columnar records — a plain full \
-                         snapshot must declare version 1"
-                    .into(),
-            });
-        }
-    } else if reserved != 0 {
-        return Err(WireError::Malformed {
-            detail: format!("reserved header bytes are not zero ({reserved:#010x})"),
-        });
-    }
-    let node_count = u64::from_le_bytes(header[16..24].try_into().expect("8 bytes"));
-    if u64::from(reserved) > node_count {
-        return Err(WireError::Malformed {
-            detail: format!(
-                "declared columnar record count {reserved} exceeds the node count {node_count}"
-            ),
-        });
-    }
-    let root_count = u64::from_le_bytes(header[24..32].try_into().expect("8 bytes"));
-    let payload_len = u64::from_le_bytes(header[32..40].try_into().expect("8 bytes"));
-    let declared_checksum = u64::from_le_bytes(header[40..48].try_into().expect("8 bytes"));
+    let u64_at = |at: usize| u64::from_le_bytes(raw[at..at + 8].try_into().expect("8 bytes"));
+    let node_count = u64_at(12);
+    let root_count = u64_at(20);
+    let payload_len = u64_at(28);
+    let base = BaseId {
+        checksum: u64_at(36),
+        nodes: u64_at(44),
+    };
+    let declared_checksum = u64_at(52);
     if node_count > payload_len {
         return Err(WireError::Malformed {
             detail: format!(
@@ -933,35 +855,29 @@ fn read_header<R: Read>(r: &mut R) -> Result<Header, WireError> {
     let payload_len = usize::try_from(payload_len).map_err(|_| WireError::Malformed {
         detail: format!("declared payload length {payload_len} exceeds addressable memory"),
     })?;
-    Ok(Header {
-        version,
-        columnar: reserved,
-        node_count,
-        root_count,
-        payload_len,
-        checksum: declared_checksum,
-    })
-}
 
-/// Reads exactly the declared payload and verifies its checksum before
-/// any of the structure is trusted.
-fn read_payload<R: Read>(r: &mut R, h: &Header) -> Result<Vec<u8>, WireError> {
     let mut payload = Vec::new();
     let got = r
         .by_ref()
-        .take(h.payload_len as u64)
+        .take(payload_len as u64)
         .read_to_end(&mut payload)?;
-    if got < h.payload_len {
+    if got < payload_len {
         return Err(WireError::Truncated { context: "payload" });
     }
-    let actual = checksum(&payload);
-    if actual != h.checksum {
+    let actual = layer_checksum(&raw[MAGIC.len()..HEADER_LEN - 8], &payload);
+    if actual != declared_checksum {
         return Err(WireError::ChecksumMismatch {
-            expected: h.checksum,
+            expected: declared_checksum,
             actual,
         });
     }
-    Ok(payload)
+    let header = Header {
+        node_count,
+        root_count,
+        base,
+        checksum: declared_checksum,
+    };
+    Ok((header, payload))
 }
 
 /// Decodes one value; composites must be backward references into the
@@ -1095,26 +1011,18 @@ fn decode_flat_set(
     Ok(Object::set(elements))
 }
 
-/// One decoded chain layer: its roots and metadata (each layer carries
-/// its own) and its payload checksum (the next layer's base identity).
-struct Layer {
-    roots: Vec<Object>,
-    meta: Vec<u8>,
-    checksum: u64,
-}
-
 /// Reads one layer from `r`, appending its nodes to the combined table
-/// `nodes`. `base_checksum` is the payload checksum of the previously
-/// restored layer (`None` when this is the first); a version-2 layer's
-/// declared base link is verified against it and `nodes.len()`.
+/// `nodes`, and returns its roots and metadata (each layer carries its
+/// own) plus its checksum. `chain` is the identity of the layers read so
+/// far ([`BaseId::EMPTY`] before the first); the layer's base link must
+/// match it.
 fn read_layer<R: Read>(
     r: R,
     nodes: &mut Vec<Object>,
-    base_checksum: Option<u64>,
-    first: bool,
-) -> Result<Layer, WireError> {
+    chain: BaseId,
+) -> Result<(Snapshot, u64), WireError> {
     let start = std::time::Instant::now();
-    let out = read_layer_inner(r, nodes, base_checksum, first);
+    let out = read_layer_inner(r, nodes, chain);
     wire_instruments()
         .decode_ns
         .record_duration(start.elapsed());
@@ -1124,43 +1032,25 @@ fn read_layer<R: Read>(
 fn read_layer_inner<R: Read>(
     mut r: R,
     nodes: &mut Vec<Object>,
-    base_checksum: Option<u64>,
-    first: bool,
-) -> Result<Layer, WireError> {
-    let header = read_header(&mut r)?;
-    let payload = read_payload(&mut r, &header)?;
-    let mut c = Cursor::new(&payload);
-
-    if header.version == FORMAT_VERSION_DELTA {
-        let declared_checksum =
-            u64::from_le_bytes(c.take(8, "base link")?.try_into().expect("8 bytes"));
-        let declared_nodes =
-            u64::from_le_bytes(c.take(8, "base link")?.try_into().expect("8 bytes"));
-        match base_checksum {
-            None => {
-                return Err(WireError::BaseRequired {
-                    checksum: declared_checksum,
-                    nodes: declared_nodes,
-                })
+    chain: BaseId,
+) -> Result<(Snapshot, u64), WireError> {
+    let (header, payload) = read_verified(&mut r)?;
+    if header.base != chain {
+        return Err(if chain == BaseId::EMPTY {
+            WireError::BaseRequired {
+                checksum: header.base.checksum,
+                nodes: header.base.nodes,
             }
-            Some(found) => {
-                if declared_checksum != found || declared_nodes != nodes.len() as u64 {
-                    return Err(WireError::BaseMismatch {
-                        expected_checksum: declared_checksum,
-                        expected_nodes: declared_nodes,
-                        found_checksum: found,
-                        found_nodes: nodes.len() as u64,
-                    });
-                }
+        } else {
+            WireError::BaseMismatch {
+                expected_checksum: header.base.checksum,
+                expected_nodes: header.base.nodes,
+                found_checksum: chain.checksum,
+                found_nodes: chain.nodes,
             }
-        }
-    } else if !first {
-        return Err(WireError::Malformed {
-            detail: "full snapshot in the middle of a chain — only the first layer may \
-                     be full"
-                .into(),
         });
     }
+    let mut c = Cursor::new(&payload);
 
     // Symbol table (layer-local: every layer carries its own spellings).
     let symbol_count = c.varint("symbol table")?;
@@ -1172,7 +1062,6 @@ fn read_layer_inner<R: Read>(
     // Node table, bottom-up: every child reference resolves into the
     // combined prefix decoded so far (base layers included), and every
     // decoded node goes straight through the interning constructors.
-    let mut columnar_records = 0u64;
     for _ in 0..header.node_count {
         let tag = c.u8("node table")?;
         let node = match tag {
@@ -1204,10 +1093,7 @@ fn read_layer_inner<R: Read>(
                 }
                 Object::set(elements)
             }
-            NODE_FLAT_SET if header.version == FORMAT_VERSION_COLUMNAR => {
-                columnar_records += 1;
-                decode_flat_set(&mut c, nodes, &symbols)?
-            }
+            NODE_FLAT_SET => decode_flat_set(&mut c, nodes, &symbols)?,
             tag => {
                 return Err(WireError::BadTag {
                     tag,
@@ -1216,14 +1102,6 @@ fn read_layer_inner<R: Read>(
             }
         };
         nodes.push(node);
-    }
-    if columnar_records != u64::from(header.columnar) {
-        return Err(WireError::Malformed {
-            detail: format!(
-                "header declares {} columnar records, the node table contains {columnar_records}",
-                header.columnar
-            ),
-        });
     }
 
     // Roots and metadata.
@@ -1244,11 +1122,7 @@ fn read_layer_inner<R: Read>(
             ),
         });
     }
-    Ok(Layer {
-        roots,
-        meta,
-        checksum: header.checksum,
-    })
+    Ok((Snapshot { roots, meta }, header.checksum))
 }
 
 /// Reads one **full** snapshot from `r`, re-interning every node
@@ -1256,15 +1130,10 @@ fn read_layer_inner<R: Read>(
 /// docs for why the result is structurally identical to what was written
 /// and deduplicates against nodes already live in this process's store.
 ///
-/// A version-2 delta is rejected with [`WireError::BaseRequired`]: deltas
-/// only restore as a chain ([`read_chain`] / [`load_chain`]).
+/// A delta is rejected with [`WireError::BaseRequired`]: deltas only
+/// restore as a chain ([`read_chain`] / [`load_chain`]).
 pub fn read_snapshot<R: Read>(r: R) -> Result<Snapshot, WireError> {
-    let mut nodes = Vec::new();
-    let layer = read_layer(r, &mut nodes, None, true)?;
-    Ok(Snapshot {
-        roots: layer.roots,
-        meta: layer.meta,
-    })
+    read_layer(r, &mut Vec::new(), BaseId::EMPTY).map(|(snap, _)| snap)
 }
 
 /// Restores a snapshot **chain** — one full layer followed by zero or
@@ -1272,17 +1141,51 @@ pub fn read_snapshot<R: Read>(r: R) -> Result<Snapshot, WireError> {
 /// roots and metadata) and a [`SnapshotHandle`] for writing further
 /// deltas against the restored state.
 ///
-/// Every link is verified: a delta whose declared base identity (payload
-/// checksum + cumulative node count) does not match the layers restored
-/// before it fails with [`WireError::BaseMismatch`]; chains deeper than
-/// [`MAX_CHAIN_DEPTH`] fail with [`WireError::ChainTooDeep`]; an empty
-/// chain is [`WireError::Malformed`].
+/// Every link is verified against the layers restored before it
+/// (checksum + cumulative node count): a first layer that needs a base
+/// fails with [`WireError::BaseRequired`], any other mismatch with
+/// [`WireError::BaseMismatch`]; chains deeper than [`MAX_CHAIN_DEPTH`]
+/// fail with [`WireError::ChainTooDeep`]; an empty chain is
+/// [`WireError::Malformed`].
 pub fn read_chain<R, I>(layers: I) -> Result<(Snapshot, SnapshotHandle), WireError>
 where
     R: Read,
     I: IntoIterator<Item = R>,
 {
-    read_chain_observed(layers, |_, _| {})
+    let (snap, nodes, links) = restore_layers(layers)?;
+    let last = links.last().expect("a restored chain has a layer");
+    Ok((snap, handle_from(&nodes, last.checksum)))
+}
+
+/// Restores a chain's layers oldest-first into one combined node table:
+/// returns the last layer's snapshot, the combined table, and the chain's
+/// identity after each layer (what [`compact_chain`] rebases onto).
+fn restore_layers<R, I>(layers: I) -> Result<(Snapshot, Vec<Object>, Vec<BaseId>), WireError>
+where
+    R: Read,
+    I: IntoIterator<Item = R>,
+{
+    let mut nodes: Vec<Object> = Vec::new();
+    let mut links: Vec<BaseId> = Vec::new();
+    let mut last: Option<Snapshot> = None;
+    for r in layers {
+        if links.len() == MAX_CHAIN_DEPTH {
+            return Err(WireError::ChainTooDeep {
+                depth: MAX_CHAIN_DEPTH + 1,
+            });
+        }
+        let chain = links.last().copied().unwrap_or(BaseId::EMPTY);
+        let (snap, checksum) = read_layer(r, &mut nodes, chain)?;
+        links.push(BaseId {
+            checksum,
+            nodes: nodes.len() as u64,
+        });
+        last = Some(snap);
+    }
+    let snap = last.ok_or_else(|| WireError::Malformed {
+        detail: "empty snapshot chain".into(),
+    })?;
+    Ok((snap, nodes, links))
 }
 
 /// A [`SnapshotHandle`] over the combined `nodes` restored so far, whose
@@ -1303,68 +1206,17 @@ fn handle_from(nodes: &[Object], checksum: u64) -> SnapshotHandle {
     }
 }
 
-/// [`read_chain`] with a per-layer observer: after each layer decodes,
-/// `observe(depth, state)` sees the chain-so-far (depth is 1-based).
-/// This is how [`compact_chain`] captures the first layer's handle
-/// without restoring the base twice.
-fn read_chain_observed<R, I>(
-    layers: I,
-    mut observe: impl FnMut(usize, &ChainState<'_>),
-) -> Result<(Snapshot, SnapshotHandle), WireError>
-where
-    R: Read,
-    I: IntoIterator<Item = R>,
-{
-    let mut nodes: Vec<Object> = Vec::new();
-    let mut prev_checksum: Option<u64> = None;
-    let mut last: Option<(Vec<Object>, Vec<u8>)> = None;
-    let mut depth = 0usize;
-    for r in layers {
-        depth += 1;
-        if depth > MAX_CHAIN_DEPTH {
-            return Err(WireError::ChainTooDeep { depth });
-        }
-        let layer = read_layer(r, &mut nodes, prev_checksum, depth == 1)?;
-        prev_checksum = Some(layer.checksum);
-        observe(
-            depth,
-            &ChainState {
-                nodes: &nodes,
-                checksum: layer.checksum,
-            },
-        );
-        last = Some((layer.roots, layer.meta));
-    }
-    let Some((roots, meta)) = last else {
-        return Err(WireError::Malformed {
-            detail: "empty snapshot chain".into(),
-        });
-    };
-    let handle = handle_from(&nodes, prev_checksum.expect("at least one layer was read"));
-    Ok((Snapshot { roots, meta }, handle))
-}
-
-/// What [`read_chain_observed`] shows its observer after each layer.
-struct ChainState<'a> {
-    nodes: &'a [Object],
-    checksum: u64,
-}
-
-impl ChainState<'_> {
-    fn handle(&self) -> SnapshotHandle {
-        handle_from(self.nodes, self.checksum)
-    }
-}
-
 /// [`read_snapshot`] from a file.
 pub fn load_from_path(path: impl AsRef<Path>) -> Result<Snapshot, WireError> {
     let file = std::fs::File::open(path.as_ref())?;
     read_snapshot(std::io::BufReader::new(file))
 }
 
-/// [`read_chain`] from files: `layers[0]` is the full base, the rest are
-/// deltas in write order.
-pub fn load_chain<P: AsRef<Path>>(layers: &[P]) -> Result<(Snapshot, SnapshotHandle), WireError> {
+/// Opens the layer files of a chain, refusing chains deeper than
+/// [`MAX_CHAIN_DEPTH`] before opening any.
+fn open_layers<P: AsRef<Path>>(
+    layers: &[P],
+) -> Result<Vec<std::io::BufReader<std::fs::File>>, WireError> {
     if layers.len() > MAX_CHAIN_DEPTH {
         return Err(WireError::ChainTooDeep {
             depth: layers.len(),
@@ -1374,7 +1226,13 @@ pub fn load_chain<P: AsRef<Path>>(layers: &[P]) -> Result<(Snapshot, SnapshotHan
     for p in layers {
         files.push(std::io::BufReader::new(std::fs::File::open(p.as_ref())?));
     }
-    read_chain(files)
+    Ok(files)
+}
+
+/// [`read_chain`] from files: `layers[0]` is the full base, the rest are
+/// deltas in write order.
+pub fn load_chain<P: AsRef<Path>>(layers: &[P]) -> Result<(Snapshot, SnapshotHandle), WireError> {
+    read_chain(open_layers(layers)?)
 }
 
 // ---------------------------------------------------------------------------
@@ -1384,54 +1242,38 @@ pub fn load_chain<P: AsRef<Path>>(layers: &[P]) -> Result<(Snapshot, SnapshotHan
 /// How [`compact_chain`] rewrites a chain into fewer layers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Compaction {
-    /// Rewrite the whole chain as a single **full** (version 1) snapshot:
-    /// self-contained, readable by any `co-wire` since version 1.
+    /// Rewrite the whole chain as a single **full** snapshot — a layer on
+    /// the empty base — that restores on its own.
     Full,
-    /// Merge every delta into a single **delta** (version 2) against the
-    /// chain's first layer: the base file is reused as-is, and the new
-    /// layer carries the union of all the deltas' new nodes. Useful when
-    /// the base is large, replicated, or immutable.
+    /// Merge every delta into a single **delta** on the chain's first
+    /// layer: the base file is reused as-is, and the new layer carries
+    /// the union of all the deltas' new nodes. Useful when the base is
+    /// large, replicated, or immutable.
     Rebase,
 }
 
-/// Rewrites the chain `layers` (oldest first) as `out`: one full
-/// snapshot, or one delta against the chain's first layer, per `mode`.
-/// The last layer's roots and metadata are preserved; intermediate
-/// layers' are compacted away. Returns the write stats and a handle onto
-/// the compacted snapshot (for `Rebase`, the first layer plus the merged
-/// delta).
+/// Rewrites the chain `layers` (oldest first) as `out`: one layer on the
+/// empty base ([`Compaction::Full`]) or on the chain's first layer
+/// ([`Compaction::Rebase`]). The last layer's roots and metadata are
+/// preserved; intermediate layers' are compacted away. Returns the write
+/// stats and a handle onto the compacted snapshot (for `Rebase`, the
+/// first layer plus the merged delta).
 pub fn compact_chain<P: AsRef<Path>>(
     layers: &[P],
     out: impl AsRef<Path>,
     mode: Compaction,
 ) -> Result<(WriteStats, SnapshotHandle), WireError> {
-    match mode {
-        Compaction::Full => {
-            let (snap, _) = load_chain(layers)?;
-            save_to_path_handle(out, &snap.roots, &snap.meta)
-        }
+    // One pass restores the whole chain; its first layer's nodes are the
+    // prefix of the combined table.
+    let (snap, nodes, links) = restore_layers(open_layers(layers)?)?;
+    let base = match mode {
+        Compaction::Full => SnapshotHandle::empty(),
         Compaction::Rebase => {
-            // One pass: restore the whole chain, capturing the first
-            // layer's handle on the way through (the rebase target).
-            if layers.len() > MAX_CHAIN_DEPTH {
-                return Err(WireError::ChainTooDeep {
-                    depth: layers.len(),
-                });
-            }
-            let mut files = Vec::with_capacity(layers.len());
-            for p in layers {
-                files.push(std::io::BufReader::new(std::fs::File::open(p.as_ref())?));
-            }
-            let mut base: Option<SnapshotHandle> = None;
-            let (snap, _) = read_chain_observed(files, |depth, state| {
-                if depth == 1 {
-                    base = Some(state.handle());
-                }
-            })?;
-            let base = base.expect("a non-empty chain has a first layer");
-            save_delta_to_path(out, &snap.roots, &snap.meta, &base)
+            let first = links[0];
+            handle_from(&nodes[..first.nodes as usize], first.checksum)
         }
-    }
+    };
+    save_delta_to_path(out, &snap.roots, &snap.meta, &base)
 }
 
 // ---------------------------------------------------------------------------
@@ -1439,81 +1281,58 @@ pub fn compact_chain<P: AsRef<Path>>(
 // ---------------------------------------------------------------------------
 
 /// What [`describe`] reports about a snapshot file, without restoring
-/// (re-interning) any of it: the header fields, checksum-verified, plus
-/// the base link for deltas.
+/// (re-interning) any of it: the header fields, checksum-verified.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SnapshotInfo {
-    /// Format version ([`FORMAT_VERSION`], [`FORMAT_VERSION_DELTA`], or
-    /// [`FORMAT_VERSION_COLUMNAR`]).
-    pub version: u32,
     /// Node records in this file (for a delta: new nodes only).
     pub nodes: u64,
     /// Root values in this file.
     pub roots: u64,
-    /// Payload bytes (everything after the 48-byte header).
+    /// Payload bytes (everything after the header).
     pub payload_bytes: u64,
     /// Total file bytes, header included.
     pub total_bytes: u64,
-    /// FNV-1a-64 payload checksum — verified against the payload before
-    /// this struct is returned, and the identity the next delta in a
-    /// chain names this snapshot by.
+    /// FNV-1a-64 layer checksum — verified against the header and payload
+    /// before this struct is returned, and the identity the next delta in
+    /// a chain names this snapshot by.
     pub checksum: u64,
-    /// The base this delta was written against; `None` for full
-    /// snapshots.
-    pub base: Option<BaseId>,
-    /// Columnar records in the node table (nonzero exactly when
-    /// `version` is [`FORMAT_VERSION_COLUMNAR`]).
-    pub columnar_sets: u64,
+    /// The base this layer was written on; [`BaseId::EMPTY`] for a full
+    /// snapshot.
+    pub base: BaseId,
 }
 
 impl SnapshotInfo {
-    /// Whether this is a delta (version 2) snapshot needing a base chain.
+    /// Whether this is a delta: a layer that needs its base chain.
     pub fn is_delta(&self) -> bool {
-        self.base.is_some()
+        self.base != BaseId::EMPTY
     }
 }
 
 impl std::fmt::Display for SnapshotInfo {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match &self.base {
-            None => write!(
+        write!(f, "co-wire v{FORMAT_VERSION} ")?;
+        if self.is_delta() {
+            write!(
                 f,
-                "co-wire v{} {}snapshot: {} nodes, {} roots, {} payload bytes \
-                 ({} total), checksum {:#018x}",
-                self.version,
-                if self.version == FORMAT_VERSION_COLUMNAR {
-                    "columnar full "
-                } else {
-                    "full "
-                },
-                self.nodes,
-                self.roots,
-                self.payload_bytes,
-                self.total_bytes,
-                self.checksum
-            ),
-            Some(base) => write!(
-                f,
-                "co-wire v{} delta snapshot: {} new nodes over base {:#018x} ({} nodes), \
-                 {} roots, {} payload bytes ({} total), checksum {:#018x}",
-                self.version,
-                self.nodes,
-                base.checksum,
-                base.nodes,
-                self.roots,
-                self.payload_bytes,
-                self.total_bytes,
-                self.checksum
-            ),
+                "delta snapshot: {} new nodes over base {:#018x} ({} nodes)",
+                self.nodes, self.base.checksum, self.base.nodes
+            )?;
+        } else {
+            write!(f, "full snapshot: {} nodes", self.nodes)?;
         }
+        write!(
+            f,
+            ", {} roots, {} payload bytes ({} total), checksum {:#018x}",
+            self.roots, self.payload_bytes, self.total_bytes, self.checksum
+        )
     }
 }
 
 /// Inspects the snapshot at `path` without restoring it: validates the
-/// header, verifies the payload checksum, and reports the format
-/// version, counts, sizes, and (for deltas) the base identity. Unknown
-/// versions are [`WireError::UnsupportedVersion`] — the same hard error
-/// every reader entry point gives, never a best-effort parse.
+/// header, verifies the checksum, and reports the counts, sizes, and
+/// base link. Other versions are [`WireError::UnsupportedVersion`] — the
+/// same hard error every reader entry point gives, never a best-effort
+/// parse.
 pub fn describe(path: impl AsRef<Path>) -> Result<SnapshotInfo, WireError> {
     let file = std::fs::File::open(path.as_ref())?;
     describe_snapshot(std::io::BufReader::new(file))
@@ -1521,25 +1340,14 @@ pub fn describe(path: impl AsRef<Path>) -> Result<SnapshotInfo, WireError> {
 
 /// [`describe`] over any reader.
 pub fn describe_snapshot<R: Read>(mut r: R) -> Result<SnapshotInfo, WireError> {
-    let header = read_header(&mut r)?;
-    let payload = read_payload(&mut r, &header)?;
-    let base = if header.version == FORMAT_VERSION_DELTA {
-        let mut c = Cursor::new(&payload);
-        let checksum = u64::from_le_bytes(c.take(8, "base link")?.try_into().expect("8 bytes"));
-        let nodes = u64::from_le_bytes(c.take(8, "base link")?.try_into().expect("8 bytes"));
-        Some(BaseId { checksum, nodes })
-    } else {
-        None
-    };
+    let (header, payload) = read_verified(&mut r)?;
     Ok(SnapshotInfo {
-        version: header.version,
         nodes: header.node_count,
         roots: header.root_count,
         payload_bytes: payload.len() as u64,
         total_bytes: (HEADER_LEN + payload.len()) as u64,
         checksum: header.checksum,
-        base,
-        columnar_sets: u64::from(header.columnar),
+        base: header.base,
     })
 }
 
@@ -1610,11 +1418,39 @@ mod tests {
         let mut bytes = Vec::new();
         let stats = write_snapshot(&mut bytes, &[], b"hello").unwrap();
         assert_eq!(stats.nodes, 0);
-        assert_eq!(stats.version, FORMAT_VERSION);
+        assert!(!stats.is_delta());
         assert_eq!(stats.total_bytes as usize, bytes.len());
         let snap = read_snapshot(bytes.as_slice()).unwrap();
         assert!(snap.roots.is_empty());
         assert_eq!(snap.meta, b"hello");
+    }
+
+    #[test]
+    fn a_full_snapshot_is_a_layer_on_the_empty_base() {
+        let o = obj!([r: {[a: 1], [a: 2]}]);
+        let mut full = Vec::new();
+        let stats = write_snapshot(&mut full, std::slice::from_ref(&o), b"m").unwrap();
+        let mut layer = Vec::new();
+        let (layer_stats, handle) = write_delta_snapshot(
+            &mut layer,
+            std::slice::from_ref(&o),
+            b"m",
+            &SnapshotHandle::empty(),
+        )
+        .unwrap();
+        assert_eq!(full, layer, "one writer path, one byte stream");
+        assert_eq!(stats, layer_stats);
+        assert_eq!(stats.base, BaseId::EMPTY);
+        assert_eq!(full[36..52], [0; 16], "the empty base's link is all zero");
+        assert_eq!(handle.nodes(), stats.nodes);
+        // It restores through both entry points.
+        assert_eq!(
+            read_snapshot(full.as_slice()).unwrap().roots,
+            vec![o.clone()]
+        );
+        let (snap, restored) = read_chain([full.as_slice()]).unwrap();
+        assert_eq!(snap.roots, vec![o]);
+        assert_eq!(restored.base_id(), handle.base_id());
     }
 
     #[test]
@@ -1718,7 +1554,7 @@ mod tests {
         let mut bytes = Vec::new();
         let (stats, handle) =
             write_snapshot_columnar(&mut bytes, std::slice::from_ref(&wrapper), b"m").unwrap();
-        assert_eq!(stats.version, FORMAT_VERSION_COLUMNAR);
+        assert!(!stats.is_delta());
         assert_eq!(stats.columnar_sets, 1);
         // The 100 row tuples were pruned: only the set and the wrapper remain.
         assert_eq!(stats.nodes, 2);
@@ -1731,9 +1567,8 @@ mod tests {
         assert_eq!(snap.meta, b"m");
 
         let info = describe_snapshot(bytes.as_slice()).unwrap();
-        assert_eq!(info.version, FORMAT_VERSION_COLUMNAR);
         assert!(!info.is_delta());
-        assert!(info.to_string().contains("columnar full snapshot"));
+        assert!(info.to_string().contains("full snapshot: 2 nodes"));
     }
 
     #[test]
@@ -1761,7 +1596,7 @@ mod tests {
         let mut columnar = Vec::new();
         let (stats, _) =
             write_snapshot_columnar(&mut columnar, std::slice::from_ref(&o), b"x").unwrap();
-        assert_eq!(stats.version, FORMAT_VERSION);
+        assert!(!stats.is_delta());
         assert_eq!(stats.columnar_sets, 0);
         assert_eq!(plain, columnar, "the fallback must be byte-identical");
     }
@@ -1792,55 +1627,10 @@ mod tests {
         let mut delta = Vec::new();
         let (stats, _) =
             write_delta_snapshot(&mut delta, std::slice::from_ref(&v2), b"", &handle).unwrap();
-        assert_eq!(stats.version, FORMAT_VERSION_DELTA);
+        assert!(stats.is_delta());
         let (snap, _) = read_chain([base.as_slice(), delta.as_slice()]).unwrap();
         assert_eq!(snap.roots, vec![v2.clone()]);
         assert_eq!(snap.roots[0].node_id(), v2.node_id());
-    }
-
-    #[test]
-    fn version_3_without_columnar_records_is_rejected() {
-        // A plain v1 snapshot whose version byte was flipped to 3 must
-        // fail typed, not silently reparse.
-        let o = obj!({1, 2, 3});
-        let mut bytes = Vec::new();
-        write_snapshot(&mut bytes, std::slice::from_ref(&o), b"").unwrap();
-        bytes[8] = 3;
-        match read_snapshot(bytes.as_slice()) {
-            Err(WireError::Malformed { detail }) => {
-                assert!(detail.contains("zero columnar records"), "got: {detail}")
-            }
-            other => panic!("expected Malformed, got {other:?}"),
-        }
-        // The flip fails at the header, so `describe` refuses it too.
-        assert!(matches!(
-            describe_snapshot(bytes.as_slice()),
-            Err(WireError::Malformed { .. })
-        ));
-    }
-
-    #[test]
-    fn columnar_tag_outside_version_3_is_a_bad_tag() {
-        let rel = flat_relation(90);
-        let mut bytes = Vec::new();
-        write_snapshot_columnar(&mut bytes, std::slice::from_ref(&rel), b"").unwrap();
-        // A version flip alone dies at the header: v1 demands a zeroed
-        // reserved field, which v3 uses for the columnar count.
-        let mut flipped = bytes.clone();
-        flipped[8] = 1;
-        assert!(matches!(
-            read_snapshot(flipped.as_slice()),
-            Err(WireError::Malformed { .. })
-        ));
-        // Forging a fully self-consistent v1 header over the same
-        // payload still fails: the columnar tag is not a v1 node tag.
-        let mut forged = bytes;
-        forged[8] = 1;
-        forged[12..16].fill(0);
-        match read_snapshot(forged.as_slice()) {
-            Err(WireError::BadTag { tag, .. }) => assert_eq!(tag, NODE_FLAT_SET),
-            other => panic!("expected BadTag, got {other:?}"),
-        }
     }
 
     #[test]
@@ -1860,9 +1650,14 @@ mod tests {
     fn delta_encodes_only_new_nodes_and_chains_restore() {
         let v1 = obj!([db: {[k: 1, v: {a, b}], [k: 2, v: {a, b}]}]);
         let mut base = Vec::new();
-        let (base_stats, handle) =
-            write_snapshot_handle(&mut base, std::slice::from_ref(&v1), b"m1").unwrap();
-        assert_eq!(base_stats.version, FORMAT_VERSION);
+        let (base_stats, handle) = write_delta_snapshot(
+            &mut base,
+            std::slice::from_ref(&v1),
+            b"m1",
+            &SnapshotHandle::empty(),
+        )
+        .unwrap();
+        assert!(!base_stats.is_delta());
         assert_eq!(handle.nodes(), base_stats.nodes);
 
         // One new fact: the new tuple, the grown relation set, the grown
@@ -1871,7 +1666,7 @@ mod tests {
         let mut delta = Vec::new();
         let (delta_stats, handle2) =
             write_delta_snapshot(&mut delta, std::slice::from_ref(&v2), b"m2", &handle).unwrap();
-        assert_eq!(delta_stats.version, FORMAT_VERSION_DELTA);
+        assert_eq!(delta_stats.base, handle.base_id());
         assert_eq!(delta_stats.nodes, 3, "tuple + set + wrapper are new");
         assert!(delta_stats.base_nodes_reused >= 1);
         assert_eq!(handle2.nodes(), handle.nodes() + 3);
@@ -1889,8 +1684,13 @@ mod tests {
         let mut layers: Vec<Vec<u8>> = Vec::new();
         let mut db = obj!({ 0 });
         let mut bytes = Vec::new();
-        let (_, mut handle) =
-            write_snapshot_handle(&mut bytes, std::slice::from_ref(&db), b"0").unwrap();
+        let (_, mut handle) = write_delta_snapshot(
+            &mut bytes,
+            std::slice::from_ref(&db),
+            b"0",
+            &SnapshotHandle::empty(),
+        )
+        .unwrap();
         layers.push(bytes);
         for i in 1..=3i64 {
             db = co_object::lattice::union(&db, &Object::set([Object::int(i)]));
@@ -1914,7 +1714,8 @@ mod tests {
     fn a_delta_alone_demands_its_base() {
         let v1 = obj!({ 1 });
         let mut base = Vec::new();
-        let (_, handle) = write_snapshot_handle(&mut base, &[v1], b"").unwrap();
+        let (_, handle) =
+            write_delta_snapshot(&mut base, &[v1], b"", &SnapshotHandle::empty()).unwrap();
         let mut delta = Vec::new();
         write_delta_snapshot(&mut delta, &[obj!({1, 2})], b"", &handle).unwrap();
         let err = read_snapshot(delta.as_slice()).unwrap_err();
@@ -1928,9 +1729,11 @@ mod tests {
     #[test]
     fn the_wrong_base_is_rejected() {
         let mut base_a = Vec::new();
-        let (_, handle_a) = write_snapshot_handle(&mut base_a, &[obj!({ 1 })], b"").unwrap();
+        let (_, handle_a) =
+            write_delta_snapshot(&mut base_a, &[obj!({ 1 })], b"", &SnapshotHandle::empty())
+                .unwrap();
         let mut base_b = Vec::new();
-        write_snapshot_handle(&mut base_b, &[obj!({ 2 })], b"").unwrap();
+        write_delta_snapshot(&mut base_b, &[obj!({ 2 })], b"", &SnapshotHandle::empty()).unwrap();
         let mut delta = Vec::new();
         write_delta_snapshot(&mut delta, &[obj!({1, 9})], b"", &handle_a).unwrap();
         let err = read_chain([base_b.as_slice(), delta.as_slice()]).unwrap_err();
@@ -1942,8 +1745,13 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("co_wire_compact_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let v1 = obj!([db: {1, 2}]);
-        let (_, h1) =
-            save_to_path_handle(dir.join("0.cow"), std::slice::from_ref(&v1), b"a").unwrap();
+        let (_, h1) = save_delta_to_path(
+            dir.join("0.cow"),
+            std::slice::from_ref(&v1),
+            b"a",
+            &SnapshotHandle::empty(),
+        )
+        .unwrap();
         let v2 = obj!([db: {1, 2, 3}]);
         let (_, h2) =
             save_delta_to_path(dir.join("1.cow"), std::slice::from_ref(&v2), b"b", &h1).unwrap();
@@ -1951,10 +1759,10 @@ mod tests {
         save_delta_to_path(dir.join("2.cow"), std::slice::from_ref(&v3), b"c", &h2).unwrap();
         let chain = [dir.join("0.cow"), dir.join("1.cow"), dir.join("2.cow")];
 
-        // Full: a single self-contained v1 file.
+        // Full: a single self-contained file, a layer on the empty base.
         compact_chain(&chain, dir.join("full.cow"), Compaction::Full).unwrap();
         let info = describe(dir.join("full.cow")).unwrap();
-        assert_eq!(info.version, FORMAT_VERSION);
+        assert!(!info.is_delta());
         let snap = load_from_path(dir.join("full.cow")).unwrap();
         assert_eq!(snap.roots, vec![v3.clone()]);
         assert_eq!(snap.meta, b"c");
@@ -1962,8 +1770,7 @@ mod tests {
         // Rebase: base + one merged delta replaces base + two deltas.
         compact_chain(&chain, dir.join("merged.cow"), Compaction::Rebase).unwrap();
         let info = describe(dir.join("merged.cow")).unwrap();
-        assert_eq!(info.version, FORMAT_VERSION_DELTA);
-        assert_eq!(info.base.unwrap().checksum, h1.checksum());
+        assert_eq!(info.base, h1.base_id());
         let (snap, _) = load_chain(&[dir.join("0.cow"), dir.join("merged.cow")]).unwrap();
         assert_eq!(snap.roots, vec![v3]);
         assert_eq!(snap.meta, b"c");
@@ -1976,7 +1783,9 @@ mod tests {
         // excess layer (after restoring the permitted prefix), typed.
         let mut layers: Vec<Vec<u8>> = Vec::new();
         let mut bytes = Vec::new();
-        let (_, mut handle) = write_snapshot_handle(&mut bytes, &[obj!({ 0 })], b"").unwrap();
+        let (_, mut handle) =
+            write_delta_snapshot(&mut bytes, &[obj!({ 0 })], b"", &SnapshotHandle::empty())
+                .unwrap();
         layers.push(bytes);
         for i in 1..=MAX_CHAIN_DEPTH as i64 {
             let db = Object::set((0..=i).map(Object::int));

@@ -1,24 +1,25 @@
-//! Byte-level adversarial harness: for a corpus of full (v1) and delta
-//! (v2) snapshots, **every** truncation boundary and every header bit
-//! flip — plus every payload bit flip, which on this corpus size is
-//! denser than sampling — must come back as a typed [`WireError`]:
-//! never a panic, never a silently-wrong object.
+//! Byte-level adversarial harness: for a corpus of full, delta, and
+//! columnar snapshots (the test names keep the `v1`/`v2`/`v3` labels of
+//! the formats that first introduced each shape; all three are now the
+//! one format), **every** truncation boundary and every header bit flip
+//! — plus every payload bit flip, which on this corpus size is denser
+//! than sampling — must come back as a typed [`WireError`]: never a
+//! panic, never a silently-wrong object.
 //!
-//! Why this is the contract and not "best effort": the payload is
-//! checksummed, so payload corruption is always caught; the header is
-//! *not* covered by the checksum, so every header field must be either
-//! structurally validated (magic, version window, zeroed reserved bytes,
-//! count plausibility) or unable to survive decoding (counts that
-//! disagree with the payload hit tag/truncation/trailing-byte errors).
-//! Each case runs under `catch_unwind` so a panic fails the suite with
-//! the exact offending byte, and every error's `Display` must render
-//! non-empty (the typed-rendering contract `tests/errors.rs` pins
+//! Why this is the contract and not "best effort": the checksum covers
+//! every header field after the magic as well as the payload, so any
+//! corruption past the magic is caught — by the structural header checks
+//! (magic, version, count plausibility) when it lands there first, by
+//! the checksum otherwise. That includes the inspector, which decodes no
+//! node table. Each case runs under `catch_unwind` so a panic fails the
+//! suite with the exact offending byte, and every error's `Display` must
+//! render non-empty (the typed-rendering contract `tests/errors.rs` pins
 //! string-by-string).
 
 use co_object::{obj, Object};
 use co_wire::{
     describe_snapshot, read_chain, read_snapshot, write_delta_snapshot, write_snapshot,
-    write_snapshot_columnar, write_snapshot_handle, Snapshot, WireError, FORMAT_VERSION_COLUMNAR,
+    write_snapshot_columnar, BaseId, Snapshot, SnapshotHandle, WireError, FORMAT_VERSION,
     HEADER_LEN, MAGIC,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -46,8 +47,13 @@ fn full_corpus_bytes() -> Vec<u8> {
 fn chain_corpus_bytes() -> (Vec<u8>, Vec<u8>) {
     let v1 = obj!([r: {[a: 1, b: {x, y}], [a: 2, b: {x, y}]}]);
     let mut base = Vec::new();
-    let (_, handle) =
-        write_snapshot_handle(&mut base, std::slice::from_ref(&v1), b"base-meta").unwrap();
+    let (_, handle) = write_delta_snapshot(
+        &mut base,
+        std::slice::from_ref(&v1),
+        b"base-meta",
+        &SnapshotHandle::empty(),
+    )
+    .unwrap();
     let v2 = obj!([r: {[a: 1, b: {x, y}], [a: 2, b: {x, y}], [a: 3, b: {x, y}]}]);
     let mut delta = Vec::new();
     write_delta_snapshot(
@@ -122,9 +128,9 @@ fn v1_reader_survives_every_truncation_and_bit_flip() {
     assert_eq!(original.roots.len(), 8);
 
     let read: &dyn Fn(&[u8]) -> Result<Snapshot, WireError> = &|b| read_snapshot(b);
-    assert_all_truncations_fail("v1", &bytes, read);
-    assert_bit_flips_fail("v1 header", &bytes, 0..HEADER_LEN, read);
-    assert_bit_flips_fail("v1 payload", &bytes, HEADER_LEN..bytes.len(), read);
+    assert_all_truncations_fail("full", &bytes, read);
+    assert_bit_flips_fail("full header", &bytes, 0..HEADER_LEN, read);
+    assert_bit_flips_fail("full payload", &bytes, HEADER_LEN..bytes.len(), read);
 }
 
 #[test]
@@ -136,10 +142,10 @@ fn v2_reader_survives_every_truncation_and_bit_flip_of_the_delta() {
 
     let read_with_base: &dyn Fn(&[u8]) -> Result<Snapshot, WireError> =
         &|d| read_chain([base.as_slice(), d]).map(|(snap, _)| snap);
-    assert_all_truncations_fail("v2 delta", &delta, read_with_base);
-    assert_bit_flips_fail("v2 delta header", &delta, 0..HEADER_LEN, read_with_base);
+    assert_all_truncations_fail("delta", &delta, read_with_base);
+    assert_bit_flips_fail("delta header", &delta, 0..HEADER_LEN, read_with_base);
     assert_bit_flips_fail(
-        "v2 delta payload",
+        "delta payload",
         &delta,
         HEADER_LEN..delta.len(),
         read_with_base,
@@ -150,34 +156,34 @@ fn v2_reader_survives_every_truncation_and_bit_flip_of_the_delta() {
 fn v2_chain_survives_every_corruption_of_the_base_layer() {
     let (base, delta) = chain_corpus_bytes();
     // Corrupting the *base* under an intact delta must also fail typed:
-    // either the base itself fails to decode, or its payload checksum
-    // changes and the delta's base link no longer matches.
+    // either the base itself fails to decode, or its checksum changes
+    // and the delta's base link no longer matches.
     let read_as_base: &dyn Fn(&[u8]) -> Result<Snapshot, WireError> =
         &|b| read_chain([b, delta.as_slice()]).map(|(snap, _)| snap);
-    assert_all_truncations_fail("v2 base", &base, read_as_base);
-    assert_bit_flips_fail("v2 base header", &base, 0..HEADER_LEN, read_as_base);
-    assert_bit_flips_fail(
-        "v2 base payload",
-        &base,
-        HEADER_LEN..base.len(),
-        read_as_base,
-    );
+    assert_all_truncations_fail("base", &base, read_as_base);
+    assert_bit_flips_fail("base header", &base, 0..HEADER_LEN, read_as_base);
+    assert_bit_flips_fail("base payload", &base, HEADER_LEN..base.len(), read_as_base);
 }
 
 #[test]
 fn the_v1_entry_point_always_rejects_deltas_however_corrupt() {
     // `read_snapshot` can never restore a delta (it has no base), so
     // every variant of the delta blob — intact included — must fail
-    // typed through the v1 entry point.
+    // typed through the single-layer entry point.
     let (_, delta) = chain_corpus_bytes();
-    assert_typed_failure("v2 via read_snapshot: intact", || {
+    assert_typed_failure("delta via read_snapshot: intact", || {
         read_snapshot(delta.as_slice())
     });
     let read: &dyn Fn(&[u8]) -> Result<Snapshot, WireError> = &|b| read_snapshot(b);
-    assert_all_truncations_fail("v2 via read_snapshot", &delta, read);
-    assert_bit_flips_fail("v2 via read_snapshot header", &delta, 0..HEADER_LEN, read);
+    assert_all_truncations_fail("delta via read_snapshot", &delta, read);
     assert_bit_flips_fail(
-        "v2 via read_snapshot payload",
+        "delta via read_snapshot header",
+        &delta,
+        0..HEADER_LEN,
+        read,
+    );
+    assert_bit_flips_fail(
+        "delta via read_snapshot payload",
         &delta,
         HEADER_LEN..delta.len(),
         read,
@@ -186,47 +192,36 @@ fn the_v1_entry_point_always_rejects_deltas_however_corrupt() {
 
 #[test]
 fn the_inspector_never_panics_and_catches_what_the_checksum_covers() {
-    // `describe` reports the header's *claims* (it does not decode the
-    // node table), so a flipped count byte can still describe — but it
-    // must never panic, every truncation must fail typed (the payload
-    // goes missing), and every payload flip must fail the checksum.
+    // `describe` reports the header's claims without decoding the node
+    // table, but the checksum covers every header field after the magic:
+    // every truncation and every bit flip, header or payload, must fail
+    // typed.
     let bytes = full_corpus_bytes();
     let pristine = describe_snapshot(bytes.as_slice()).unwrap();
     assert_eq!(pristine.nodes, 4);
+    assert_inspector_rejects_every_corruption("describe", &bytes);
+}
 
+/// Every truncation and every single-bit flip of `bytes` must fail
+/// [`describe_snapshot`] typed.
+fn assert_inspector_rejects_every_corruption(name: &str, bytes: &[u8]) {
     for len in 0..bytes.len() {
-        assert_typed_failure(&format!("describe: truncation to {len}"), || {
+        assert_typed_failure(&format!("{name}: truncation to {len}"), || {
             describe_snapshot(&bytes[..len])
         });
     }
-    for ix in HEADER_LEN..bytes.len() {
+    for ix in 0..bytes.len() {
         for bit in 0..8 {
-            let mut corrupt = bytes.clone();
+            let mut corrupt = bytes.to_vec();
             corrupt[ix] ^= 1 << bit;
-            assert_typed_failure(&format!("describe: payload bit {bit} of byte {ix}"), || {
+            assert_typed_failure(&format!("{name}: bit {bit} of byte {ix}"), || {
                 describe_snapshot(corrupt.as_slice())
             });
         }
     }
-    for ix in 0..HEADER_LEN {
-        for bit in 0..8 {
-            let mut corrupt = bytes.clone();
-            corrupt[ix] ^= 1 << bit;
-            // Header flips: no panic; magic/version/reserved/size flips
-            // fail typed, count flips may legitimately describe (the
-            // full readers are what decode-verify the counts).
-            let label = format!("describe: header bit {bit} of byte {ix}");
-            if let Ok(info) = sound_read(&label, || describe_snapshot(corrupt.as_slice())) {
-                assert!(
-                    (16..32).contains(&ix),
-                    "only count-field flips may still describe, got Ok on {label}: {info}"
-                );
-            }
-        }
-    }
 }
 
-/// A columnar (v3) snapshot: a flat relation large enough for the
+/// A columnar snapshot: a flat relation large enough for the
 /// default `CO_COLUMNAR_MIN_ROWS` threshold, mixing every atom kind the
 /// columns can carry, plus one ordinary root alongside.
 fn columnar_corpus_bytes() -> Vec<u8> {
@@ -241,7 +236,7 @@ fn columnar_corpus_bytes() -> Vec<u8> {
     let roots = vec![rel, obj!({extra, 7})];
     let mut bytes = Vec::new();
     let (stats, _) = write_snapshot_columnar(&mut bytes, &roots, b"columnar-meta").unwrap();
-    assert_eq!(stats.version, FORMAT_VERSION_COLUMNAR);
+    assert!(!stats.is_delta());
     assert_eq!(stats.columnar_sets, 1);
     bytes
 }
@@ -255,62 +250,49 @@ fn v3_reader_survives_every_truncation_and_bit_flip() {
     assert_eq!(original.meta, b"columnar-meta");
 
     let read: &dyn Fn(&[u8]) -> Result<Snapshot, WireError> = &|b| read_snapshot(b);
-    assert_all_truncations_fail("v3", &bytes, read);
-    assert_bit_flips_fail("v3 header", &bytes, 0..HEADER_LEN, read);
-    assert_bit_flips_fail("v3 payload", &bytes, HEADER_LEN..bytes.len(), read);
+    assert_all_truncations_fail("columnar", &bytes, read);
+    assert_bit_flips_fail("columnar header", &bytes, 0..HEADER_LEN, read);
+    assert_bit_flips_fail("columnar payload", &bytes, HEADER_LEN..bytes.len(), read);
 }
 
 #[test]
 fn the_inspector_is_as_strict_on_v3_headers_as_on_v1() {
     let bytes = columnar_corpus_bytes();
     let pristine = describe_snapshot(bytes.as_slice()).unwrap();
-    assert_eq!(pristine.version, FORMAT_VERSION_COLUMNAR);
-    assert_eq!(pristine.columnar_sets, 1);
-
-    for len in 0..bytes.len() {
-        assert_typed_failure(&format!("describe v3: truncation to {len}"), || {
-            describe_snapshot(&bytes[..len])
-        });
-    }
-    for ix in 0..HEADER_LEN {
-        for bit in 0..8 {
-            let mut corrupt = bytes.clone();
-            corrupt[ix] ^= 1 << bit;
-            // As for v1: magic/version/size flips fail typed; flips in
-            // the count fields — which for v3 include the columnar
-            // count at bytes 12..16 — may describe, and the full reader
-            // is what decode-verifies them.
-            let label = format!("describe v3: header bit {bit} of byte {ix}");
-            if let Ok(info) = sound_read(&label, || describe_snapshot(corrupt.as_slice())) {
-                assert!(
-                    (12..32).contains(&ix),
-                    "only count-field flips may still describe, got Ok on {label}: {info}"
-                );
-            }
-        }
-    }
+    assert!(!pristine.is_delta());
+    assert_eq!(
+        pristine.nodes, 2,
+        "the relation and the extra set; rows are pruned"
+    );
+    assert_inspector_rejects_every_corruption("describe columnar", &bytes);
 }
 
-/// Hand-crafts a v3 snapshot from parts — header fields and a raw
+/// Hand-crafts a layer on `base` from parts — header fields and a raw
 /// payload — with a **correct** checksum, so the corruption under test
 /// is the only thing wrong with the bytes.
-fn craft_v3(columnar: u32, node_count: u64, root_count: u64, payload: &[u8]) -> Vec<u8> {
-    let mut bytes = Vec::with_capacity(HEADER_LEN + payload.len());
-    bytes.extend_from_slice(&MAGIC);
-    bytes.extend_from_slice(&FORMAT_VERSION_COLUMNAR.to_le_bytes());
-    bytes.extend_from_slice(&columnar.to_le_bytes());
-    bytes.extend_from_slice(&node_count.to_le_bytes());
-    bytes.extend_from_slice(&root_count.to_le_bytes());
-    bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    bytes.extend_from_slice(&co_wire::codec::checksum(payload).to_le_bytes());
-    bytes.extend_from_slice(payload);
+fn craft(base: BaseId, node_count: u64, root_count: u64, payload: &[u8]) -> Vec<u8> {
+    let mut fields = Vec::new();
+    fields.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+    fields.extend_from_slice(&node_count.to_le_bytes());
+    fields.extend_from_slice(&root_count.to_le_bytes());
+    fields.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    fields.extend_from_slice(&base.checksum.to_le_bytes());
+    fields.extend_from_slice(&base.nodes.to_le_bytes());
+    let sum = co_wire::codec::checksum(&[fields.as_slice(), payload].concat());
+    let bytes = [&MAGIC[..], &fields, &sum.to_le_bytes(), payload].concat();
+    assert_eq!(bytes.len(), HEADER_LEN + payload.len());
     bytes
 }
 
-/// The payload of a minimal v3 snapshot — symbols `a`, `b`; one columnar
+/// [`craft`] on the empty base: a full snapshot.
+fn craft_full(node_count: u64, root_count: u64, payload: &[u8]) -> Vec<u8> {
+    craft(BaseId::EMPTY, node_count, root_count, payload)
+}
+
+/// The payload of a minimal columnar snapshot — symbols `a`, `b`; one columnar
 /// record (`schema` and `rows` overridable); one root referencing it —
 /// so each semantic corruption below changes exactly one knob.
-fn craft_v3_payload(schema: &[u64], cells: &[&[u8]]) -> Vec<u8> {
+fn craft_columnar_payload(schema: &[u64], cells: &[&[u8]]) -> Vec<u8> {
     use co_wire::codec::{put_str, put_varint};
     let mut p = Vec::new();
     put_varint(&mut p, 2); // symbol table: "a", "b"
@@ -338,25 +320,29 @@ fn craft_v3_payload(schema: &[u64], cells: &[&[u8]]) -> Vec<u8> {
 #[test]
 fn hand_crafted_columnar_corruptions_fail_typed() {
     // Sanity: the pristine crafted snapshot decodes to the real relation.
-    let good = craft_v3(1, 1, 1, &craft_v3_payload(&[0, 1], &[&[1, 2], &[10, 20]]));
+    let good = craft_full(
+        1,
+        1,
+        &craft_columnar_payload(&[0, 1], &[&[1, 2], &[10, 20]]),
+    );
     let snap = read_snapshot(good.as_slice()).unwrap();
     assert_eq!(snap.roots, vec![obj!({[a: 1, b: 10], [a: 2, b: 20]})]);
 
     // Zero columns.
     assert_typed_failure("columnar record with zero arity", || {
-        read_snapshot(craft_v3(1, 1, 1, &craft_v3_payload(&[], &[])).as_slice())
+        read_snapshot(craft_full(1, 1, &craft_columnar_payload(&[], &[])).as_slice())
     });
     // Zero rows.
     assert_typed_failure("columnar record with zero rows", || {
-        read_snapshot(craft_v3(1, 1, 1, &craft_v3_payload(&[0, 1], &[&[], &[]])).as_slice())
+        read_snapshot(craft_full(1, 1, &craft_columnar_payload(&[0, 1], &[&[], &[]])).as_slice())
     });
     // A schema symbol index beyond the symbol table.
     assert_typed_failure("columnar schema symbol out of range", || {
-        read_snapshot(craft_v3(1, 1, 1, &craft_v3_payload(&[0, 9], &[&[1], &[2]])).as_slice())
+        read_snapshot(craft_full(1, 1, &craft_columnar_payload(&[0, 9], &[&[1], &[2]])).as_slice())
     });
     // The same attribute twice: no canonical tuple has that.
     assert_typed_failure("columnar schema with a duplicate attribute", || {
-        read_snapshot(craft_v3(1, 1, 1, &craft_v3_payload(&[0, 0], &[&[1], &[2]])).as_slice())
+        read_snapshot(craft_full(1, 1, &craft_columnar_payload(&[0, 0], &[&[1], &[2]])).as_slice())
     });
     // A row count the remaining payload cannot possibly satisfy.
     {
@@ -369,7 +355,7 @@ fn hand_crafted_columnar_corruptions_fail_typed() {
         put_varint(&mut p, 0); // attr "a"
         put_varint(&mut p, 1_000_000); // a million rows in a dozen bytes
         assert_typed_failure("columnar record with an implausible row count", || {
-            read_snapshot(craft_v3(1, 1, 0, &p).as_slice())
+            read_snapshot(craft_full(1, 0, &p).as_slice())
         });
     }
     // A cell that is a node reference (rows must be atoms) and a cell
@@ -385,16 +371,8 @@ fn hand_crafted_columnar_corruptions_fail_typed() {
         put_varint(&mut p, 1); // one row
         p.push(tag);
         put_varint(&mut p, 0); // the reference/ignored operand
-        assert_typed_failure(label, || read_snapshot(craft_v3(1, 1, 0, &p).as_slice()));
+        assert_typed_failure(label, || read_snapshot(craft_full(1, 0, &p).as_slice()));
     }
-    // Header/table count disagreements: more declared than present, and
-    // a declared count of zero under version 3.
-    assert_typed_failure("columnar count exceeding the node count", || {
-        read_snapshot(craft_v3(2, 1, 1, &craft_v3_payload(&[0, 1], &[&[1], &[2]])).as_slice())
-    });
-    assert_typed_failure("version 3 with a zero columnar count", || {
-        read_snapshot(craft_v3(0, 1, 1, &craft_v3_payload(&[0, 1], &[&[1], &[2]])).as_slice())
-    });
 }
 
 #[test]
@@ -417,4 +395,116 @@ fn random_tail_garbage_after_a_valid_header_is_typed() {
             read_snapshot(corrupt.as_slice())
         });
     }
+}
+
+#[test]
+fn a_hand_crafted_delta_layer_with_a_flat_set_record_restores_bit_identically() {
+    // The node table admits flat-set records in every layer, deltas
+    // included. The base holds `{7}` (local id 0) and `[old: {7}]` (id 1).
+    let base_db = obj!([old: { 7 }]);
+    let mut base = Vec::new();
+    let (_, handle) = write_delta_snapshot(
+        &mut base,
+        std::slice::from_ref(&base_db),
+        b"",
+        &SnapshotHandle::empty(),
+    )
+    .unwrap();
+    assert_eq!(handle.nodes(), 2);
+
+    // The delta: a flat-set record (id 2) and a tuple (id 3) naming it
+    // and the base's `{7}` by id; the root references the tuple.
+    use co_wire::codec::{put_str, put_varint};
+    let mut p = Vec::new();
+    put_varint(&mut p, 4);
+    for s in ["a", "b", "new", "old"] {
+        put_str(&mut p, s);
+    }
+    p.push(0x12); // NODE_FLAT_SET
+    put_varint(&mut p, 2); // arity
+    put_varint(&mut p, 0); // "a"
+    put_varint(&mut p, 1); // "b"
+    put_varint(&mut p, 2); // rows
+    for v in [1u64, 2, 10, 20] {
+        p.push(0x04); // VAL_INT
+        put_varint(&mut p, v << 1);
+    }
+    p.push(0x10); // NODE_TUPLE
+    put_varint(&mut p, 2);
+    put_varint(&mut p, 2); // "new" → the flat set
+    p.push(0x07);
+    put_varint(&mut p, 2);
+    put_varint(&mut p, 3); // "old" → the base's {7}
+    p.push(0x07);
+    put_varint(&mut p, 0);
+    p.push(0x07); // root table: the tuple
+    put_varint(&mut p, 3);
+    put_varint(&mut p, 0); // empty metadata
+    let delta = craft(handle.base_id(), 2, 1, &p);
+
+    let expected = obj!([new: {[a: 1, b: 10], [a: 2, b: 20]}, old: { 7 }]);
+    let (snap, restored) = read_chain([base.as_slice(), delta.as_slice()]).unwrap();
+    assert_eq!(snap.roots, vec![expected.clone()]);
+    assert_eq!(snap.roots[0].node_id(), expected.node_id());
+    assert_eq!(restored.nodes(), 4);
+    // Read alone, the same layer demands its base.
+    assert!(matches!(
+        read_snapshot(delta.as_slice()),
+        Err(WireError::BaseRequired { checksum, nodes: 2 }) if checksum == handle.checksum()
+    ));
+}
+
+#[test]
+fn base_links_reroute_to_typed_errors() {
+    // A full layer in the middle of a chain declares the empty base,
+    // which is not the chain read so far.
+    let bytes = full_corpus_bytes();
+    let (base, delta) = chain_corpus_bytes();
+    for chain in [
+        [base.as_slice(), bytes.as_slice()],
+        [bytes.as_slice(), bytes.as_slice()],
+    ] {
+        let err = read_chain(chain).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                WireError::BaseMismatch {
+                    expected_checksum: 0,
+                    expected_nodes: 0,
+                    ..
+                }
+            ),
+            "got: {err}"
+        );
+    }
+    // A delta after the wrong layer is a mismatch too.
+    assert!(matches!(
+        read_chain([bytes.as_slice(), delta.as_slice()]),
+        Err(WireError::BaseMismatch { .. })
+    ));
+
+    // A layer with a non-zero link read alone — through either entry
+    // point — needs its base, whatever that link names.
+    let link = BaseId {
+        checksum: 0x0123_4567_89ab_cdef,
+        nodes: 5,
+    };
+    let empty_payload = [0u8, 0]; // no symbols, no metadata
+    let orphan = craft(link, 0, 0, &empty_payload);
+    for err in [
+        read_snapshot(orphan.as_slice()).unwrap_err(),
+        read_chain([orphan.as_slice()]).unwrap_err(),
+        read_chain([delta.as_slice(), base.as_slice()]).unwrap_err(),
+    ] {
+        assert!(matches!(err, WireError::BaseRequired { .. }), "got: {err}");
+    }
+    assert!(matches!(
+        read_snapshot(orphan.as_slice()),
+        Err(WireError::BaseRequired {
+            checksum: 0x0123_4567_89ab_cdef,
+            nodes: 5
+        })
+    ));
+    // The same link on the empty base reads as a full snapshot.
+    assert!(read_snapshot(craft_full(0, 0, &empty_payload).as_slice()).is_ok());
 }

@@ -8,8 +8,8 @@
 
 use co_object::obj;
 use co_wire::{
-    is_snapshot_temp, load_chain, load_from_path, save_delta_to_path, save_to_path,
-    save_to_path_handle, write_snapshot, WireError,
+    is_snapshot_temp, load_chain, load_from_path, save_delta_to_path, save_to_path, write_snapshot,
+    SnapshotHandle, WireError,
 };
 use std::path::{Path, PathBuf};
 
@@ -80,7 +80,13 @@ fn a_crash_mid_save_leaves_the_base_snapshot_restorable() {
 fn a_crash_mid_delta_save_leaves_the_chain_restorable() {
     let dir = temp_dir("delta");
     let v1 = obj!([r: {1, 2}]);
-    let (_, h1) = save_to_path_handle(dir.join("0.cow"), std::slice::from_ref(&v1), b"m0").unwrap();
+    let (_, h1) = save_delta_to_path(
+        dir.join("0.cow"),
+        std::slice::from_ref(&v1),
+        b"m0",
+        &SnapshotHandle::empty(),
+    )
+    .unwrap();
     let v2 = obj!([r: {1, 2, 3}]);
     let (_, h2) =
         save_delta_to_path(dir.join("1.cow"), std::slice::from_ref(&v2), b"m1", &h1).unwrap();

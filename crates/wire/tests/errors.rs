@@ -4,7 +4,10 @@
 //! exact error text.
 
 use co_object::obj;
-use co_wire::{read_snapshot, write_snapshot, WireError, FORMAT_VERSION, HEADER_LEN, MAGIC};
+use co_wire::{
+    read_snapshot, write_delta_snapshot, write_snapshot, SnapshotHandle, WireError, FORMAT_VERSION,
+    HEADER_LEN, MAGIC,
+};
 
 /// A healthy snapshot of a small nested object, as bytes.
 fn healthy() -> Vec<u8> {
@@ -67,22 +70,13 @@ fn unknown_version_is_rejected_before_the_payload() {
     assert!(matches!(err, WireError::UnsupportedVersion { found: 99 }));
     assert_eq!(
         err.to_string(),
-        "unsupported snapshot format version 99 (this reader supports versions 1-2)"
+        "unsupported snapshot format version 99 (this reader reads version 4 only)"
     );
-}
-
-#[test]
-fn nonzero_reserved_bytes_are_rejected() {
-    // The header is not covered by the payload checksum; the reserved
-    // field being pinned to zero is part of what makes every header bit
-    // detectable (see tests/adversarial.rs).
-    let mut bytes = healthy();
-    bytes[13] = 0x01; // reserved u32 lives at offset 12..16
+    // A file from an earlier build names its own version at the same
+    // offset, so it is refused typed rather than misparsed.
+    bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
     let err = read_snapshot(bytes.as_slice()).unwrap_err();
-    assert_eq!(
-        err.to_string(),
-        "malformed snapshot: reserved header bytes are not zero (0x00000100)"
-    );
+    assert!(matches!(err, WireError::UnsupportedVersion { found: 1 }));
 }
 
 #[test]
@@ -90,7 +84,7 @@ fn implausible_header_counts_are_rejected_before_decoding() {
     // Each node record is at least one payload byte, so a node count
     // larger than the payload cannot be honest — same for roots.
     let mut bytes = healthy();
-    bytes[16..24].copy_from_slice(&u64::MAX.to_le_bytes());
+    bytes[12..20].copy_from_slice(&u64::MAX.to_le_bytes());
     let err = read_snapshot(bytes.as_slice()).unwrap_err();
     let text = err.to_string();
     assert!(
@@ -98,7 +92,7 @@ fn implausible_header_counts_are_rejected_before_decoding() {
         "got: {text}"
     );
     let mut bytes = healthy();
-    bytes[24..32].copy_from_slice(&u64::MAX.to_le_bytes());
+    bytes[20..28].copy_from_slice(&u64::MAX.to_le_bytes());
     let err = read_snapshot(bytes.as_slice()).unwrap_err();
     assert!(
         err.to_string()
@@ -110,9 +104,10 @@ fn implausible_header_counts_are_rejected_before_decoding() {
 #[test]
 fn base_required_is_typed_with_the_base_identity() {
     let mut base = Vec::new();
-    let (_, handle) = co_wire::write_snapshot_handle(&mut base, &[obj!({1, 2})], b"").unwrap();
+    let (_, handle) =
+        write_delta_snapshot(&mut base, &[obj!({1, 2})], b"", &SnapshotHandle::empty()).unwrap();
     let mut delta = Vec::new();
-    co_wire::write_delta_snapshot(&mut delta, &[obj!({1, 2, 3})], b"", &handle).unwrap();
+    write_delta_snapshot(&mut delta, &[obj!({1, 2, 3})], b"", &handle).unwrap();
     let err = read_snapshot(delta.as_slice()).unwrap_err();
     assert!(matches!(err, WireError::BaseRequired { .. }));
     assert_eq!(
@@ -129,17 +124,19 @@ fn base_required_is_typed_with_the_base_identity() {
 #[test]
 fn base_mismatch_is_typed_with_both_identities() {
     let mut base_a = Vec::new();
-    let (_, handle_a) = co_wire::write_snapshot_handle(&mut base_a, &[obj!({ 1 })], b"").unwrap();
+    let (_, handle_a) =
+        write_delta_snapshot(&mut base_a, &[obj!({ 1 })], b"", &SnapshotHandle::empty()).unwrap();
     let mut base_b = Vec::new();
-    let (_, handle_b) = co_wire::write_snapshot_handle(&mut base_b, &[obj!({2, 3})], b"").unwrap();
+    let (_, handle_b) =
+        write_delta_snapshot(&mut base_b, &[obj!({2, 3})], b"", &SnapshotHandle::empty()).unwrap();
     let mut delta = Vec::new();
-    co_wire::write_delta_snapshot(&mut delta, &[obj!({1, 9})], b"", &handle_a).unwrap();
+    write_delta_snapshot(&mut delta, &[obj!({1, 9})], b"", &handle_a).unwrap();
     let err = co_wire::read_chain([base_b.as_slice(), delta.as_slice()]).unwrap_err();
     assert!(matches!(err, WireError::BaseMismatch { .. }));
     assert_eq!(
         err.to_string(),
         format!(
-            "delta snapshot base mismatch: written against base {:#018x} with {} nodes, \
+            "snapshot base mismatch: layer written against base {:#018x} with {} nodes, \
              but the supplied base is {:#018x} with {} nodes",
             handle_a.checksum(),
             handle_a.nodes(),
@@ -160,14 +157,22 @@ fn chain_too_deep_display_is_pinned() {
 }
 
 #[test]
-fn a_full_snapshot_mid_chain_is_malformed() {
+fn a_full_snapshot_mid_chain_is_a_base_mismatch() {
+    // A full snapshot declares the empty base, which is not the chain
+    // restored before it.
     let mut base = Vec::new();
-    co_wire::write_snapshot_handle(&mut base, &[obj!({ 1 })], b"").unwrap();
+    let (_, handle) =
+        write_delta_snapshot(&mut base, &[obj!({ 1 })], b"", &SnapshotHandle::empty()).unwrap();
     let err = co_wire::read_chain([base.as_slice(), base.as_slice()]).unwrap_err();
+    assert!(matches!(err, WireError::BaseMismatch { .. }));
     assert_eq!(
         err.to_string(),
-        "malformed snapshot: full snapshot in the middle of a chain — \
-         only the first layer may be full"
+        format!(
+            "snapshot base mismatch: layer written against base 0x0000000000000000 with 0 nodes, \
+             but the supplied base is {:#018x} with {} nodes",
+            handle.checksum(),
+            handle.nodes()
+        )
     );
 }
 
@@ -198,23 +203,24 @@ fn bit_rot_in_the_payload_fails_the_checksum() {
         err.to_string(),
         format!(
             "snapshot checksum mismatch: header declares {expected:#018x}, \
-             payload hashes to {actual:#018x}"
+             header fields and payload hash to {actual:#018x}"
         )
     );
 }
 
-/// Builds a snapshot by hand with a patched payload, fixing up length and
-/// checksum so only the intended defect is visible to the reader.
+/// Builds a full snapshot by hand with a patched payload, fixing up
+/// length and checksum so only the intended defect is visible to the
+/// reader.
 fn with_payload(node_count: u64, root_count: u64, payload: &[u8]) -> Vec<u8> {
-    let mut bytes = Vec::new();
-    bytes.extend_from_slice(&MAGIC);
-    bytes.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    bytes.extend_from_slice(&0u32.to_le_bytes());
-    bytes.extend_from_slice(&node_count.to_le_bytes());
-    bytes.extend_from_slice(&root_count.to_le_bytes());
-    bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    bytes.extend_from_slice(&co_wire::codec::checksum(payload).to_le_bytes());
-    bytes.extend_from_slice(payload);
+    let mut fields = Vec::new();
+    fields.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+    fields.extend_from_slice(&node_count.to_le_bytes());
+    fields.extend_from_slice(&root_count.to_le_bytes());
+    fields.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    fields.extend_from_slice(&[0; 16]); // the empty base's link
+    let sum = co_wire::codec::checksum(&[fields.as_slice(), payload].concat());
+    let bytes = [&MAGIC[..], &fields, &sum.to_le_bytes(), payload].concat();
+    assert_eq!(bytes.len(), HEADER_LEN + payload.len());
     bytes
 }
 

@@ -8,8 +8,8 @@
 use co_object::walk::{visit_unique_postorder, visit_unique_postorder_pruned};
 use co_object::{obj, Object};
 use co_wire::{
-    describe_snapshot, write_delta_snapshot, write_snapshot, write_snapshot_handle, BaseId,
-    SnapshotHandle, SnapshotInfo, WriteStats, FORMAT_VERSION, FORMAT_VERSION_DELTA, HEADER_LEN,
+    describe_snapshot, write_delta_snapshot, write_snapshot, BaseId, SnapshotHandle, SnapshotInfo,
+    WriteStats, HEADER_LEN,
 };
 
 /// `[k: <i>, v: {100, 200}]` — every tuple shares one `v` set.
@@ -39,8 +39,13 @@ fn reachable_base_nodes(roots: &[Object], base: &SnapshotHandle) -> u64 {
 fn delta_nodes_plus_reachable_base_equals_a_full_write() {
     let base_db = relation_db(40);
     let mut base_bytes = Vec::new();
-    let (base_stats, handle) =
-        write_snapshot_handle(&mut base_bytes, std::slice::from_ref(&base_db), b"").unwrap();
+    let (base_stats, handle) = write_delta_snapshot(
+        &mut base_bytes,
+        std::slice::from_ref(&base_db),
+        b"",
+        &SnapshotHandle::empty(),
+    )
+    .unwrap();
     // 40 tuples + the shared {100,200} + the relation set + the wrapper.
     assert_eq!(base_stats.nodes, 43);
     assert_eq!(base_stats.base_nodes_reused, 0, "full writes reuse nothing");
@@ -104,8 +109,13 @@ fn indirect_base_references_do_not_count_as_reused() {
     // the direct references while the full-write ledger still balances.
     let base_db = relation_db(10);
     let mut bytes = Vec::new();
-    let (_, handle) =
-        write_snapshot_handle(&mut bytes, std::slice::from_ref(&base_db), b"").unwrap();
+    let (_, handle) = write_delta_snapshot(
+        &mut bytes,
+        std::slice::from_ref(&base_db),
+        b"",
+        &SnapshotHandle::empty(),
+    )
+    .unwrap();
     let ext_db = Object::tuple([("r", base_db.dot("r").clone()), ("pinned", fact(5))]);
     let mut delta_bytes = Vec::new();
     let (stats, _) = write_delta_snapshot(
@@ -131,10 +141,15 @@ fn indirect_base_references_do_not_count_as_reused() {
 fn describe_agrees_with_write_stats_for_both_versions() {
     let base_db = relation_db(12);
     let mut base_bytes = Vec::new();
-    let (base_stats, handle) =
-        write_snapshot_handle(&mut base_bytes, std::slice::from_ref(&base_db), b"meta!").unwrap();
+    let (base_stats, handle) = write_delta_snapshot(
+        &mut base_bytes,
+        std::slice::from_ref(&base_db),
+        b"meta!",
+        &SnapshotHandle::empty(),
+    )
+    .unwrap();
     let info = describe_snapshot(base_bytes.as_slice()).unwrap();
-    assert_eq!(info.version, FORMAT_VERSION);
+    assert!(!base_stats.is_delta());
     assert!(!info.is_delta());
     assert_eq!(info.nodes, base_stats.nodes);
     assert_eq!(info.roots, base_stats.roots);
@@ -142,7 +157,8 @@ fn describe_agrees_with_write_stats_for_both_versions() {
     assert_eq!(info.total_bytes, base_stats.total_bytes);
     assert_eq!(info.total_bytes, info.payload_bytes + HEADER_LEN as u64);
     assert_eq!(info.checksum, handle.checksum());
-    assert_eq!(info.base, None);
+    assert_eq!(info.base, BaseId::EMPTY);
+    assert_eq!(info.base, base_stats.base);
 
     let ext_db = Object::tuple([("r", Object::set((0..13).map(fact)))]);
     let mut delta_bytes = Vec::new();
@@ -154,76 +170,76 @@ fn describe_agrees_with_write_stats_for_both_versions() {
     )
     .unwrap();
     let info = describe_snapshot(delta_bytes.as_slice()).unwrap();
-    assert_eq!(info.version, FORMAT_VERSION_DELTA);
+    assert!(delta_stats.is_delta());
     assert!(info.is_delta());
     assert_eq!(info.nodes, delta_stats.nodes);
-    assert_eq!(info.base, Some(handle.base_id()));
+    assert_eq!(info.base, handle.base_id());
+    assert_eq!(info.base, delta_stats.base);
     assert_eq!(info.checksum, handle2.checksum());
 }
 
 #[test]
 fn display_renderings_are_pinned() {
     let full = WriteStats {
-        version: FORMAT_VERSION,
+        base: BaseId::EMPTY,
         nodes: 43,
         roots: 2,
         symbols: 3,
         payload_bytes: 412,
-        total_bytes: 460,
+        total_bytes: 472,
         base_nodes_reused: 0,
         columnar_sets: 0,
     };
     assert_eq!(
         full.to_string(),
-        "snapshot: 43 nodes, 2 roots, 3 symbols, 412 payload bytes (460 total)"
+        "snapshot: 43 nodes, 2 roots, 3 symbols, 412 payload bytes (472 total)"
     );
     let delta = WriteStats {
-        version: FORMAT_VERSION_DELTA,
+        base: BaseId {
+            checksum: 0x00ab_cdef_0123_4567,
+            nodes: 43,
+        },
         nodes: 4,
         roots: 2,
         symbols: 2,
         payload_bytes: 61,
-        total_bytes: 109,
+        total_bytes: 121,
         base_nodes_reused: 41,
         columnar_sets: 0,
     };
     assert_eq!(
         delta.to_string(),
         "delta snapshot: 4 new nodes (+41 referenced from base), 2 roots, 2 symbols, \
-         61 payload bytes (109 total)"
+         61 payload bytes (121 total)"
     );
 
     let full_info = SnapshotInfo {
-        version: FORMAT_VERSION,
         nodes: 43,
         roots: 2,
         payload_bytes: 412,
-        total_bytes: 460,
+        total_bytes: 472,
         checksum: 0x00ab_cdef_0123_4567,
-        base: None,
-        columnar_sets: 0,
+        base: BaseId::EMPTY,
     };
     assert_eq!(
         full_info.to_string(),
-        "co-wire v1 full snapshot: 43 nodes, 2 roots, 412 payload bytes (460 total), \
+        "co-wire v4 full snapshot: 43 nodes, 2 roots, 412 payload bytes (472 total), \
          checksum 0x00abcdef01234567"
     );
     let delta_info = SnapshotInfo {
-        version: FORMAT_VERSION_DELTA,
         nodes: 4,
         roots: 2,
         payload_bytes: 61,
-        total_bytes: 109,
+        total_bytes: 121,
         checksum: 0x1122_3344_5566_7788,
-        base: Some(BaseId {
+        base: BaseId {
             checksum: 0x00ab_cdef_0123_4567,
             nodes: 43,
-        }),
-        columnar_sets: 0,
+        },
     };
     assert_eq!(
         delta_info.to_string(),
-        "co-wire v2 delta snapshot: 4 new nodes over base 0x00abcdef01234567 (43 nodes), \
-         2 roots, 61 payload bytes (109 total), checksum 0x1122334455667788"
+        "co-wire v4 delta snapshot: 4 new nodes over base 0x00abcdef01234567 (43 nodes), \
+         2 roots, 61 payload bytes (121 total), checksum 0x1122334455667788"
     );
 }

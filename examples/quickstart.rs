@@ -155,8 +155,8 @@ fn main() {
     );
 
     // Checkpoint → mutate → **delta** → restore the chain. The second
-    // checkpoint auto-selects a version-2 delta because the engine's
-    // chain is live: it carries only the nodes the base lacks (the
+    // checkpoint auto-selects a delta because the engine's chain is
+    // live: it carries only the nodes the base lacks (the
     // fixpoint grew the database a little; everything else is referenced
     // by base-local id). `restore_chain` replays base then delta,
     // verifying each link's checksum.

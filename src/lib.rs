@@ -44,8 +44,10 @@
 //!   snapshots: a topologically-ordered node table encodes each distinct
 //!   interned node exactly once, so on-disk size tracks the DAG, not the
 //!   tree expansion; the reader re-interns bottom-up and deduplicates
-//!   against the live store. Version-2 **delta snapshots** encode only
-//!   the nodes a base snapshot lacks and restore as verified chains
+//!   against the live store. One format serves every snapshot: each is a
+//!   layer on a base named in its header, a full snapshot being a layer
+//!   on the empty base, so **delta snapshots** encode only the nodes
+//!   their base lacks and restore as verified chains
 //!   (`wire::read_chain`, `wire::compact_chain`, `wire::describe`).
 //!   `Engine::checkpoint` / `Engine::restore` /
 //!   `Engine::restore_chain` build on it, auto-selecting deltas while a
