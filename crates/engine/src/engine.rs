@@ -113,7 +113,17 @@ pub enum Parallelism {
     /// Resolve the worker count from the machine at run start:
     /// [`std::thread::available_parallelism`] workers (so a 1-core host
     /// degrades to sequential evaluation with no pool at all). This is
-    /// the adaptive default.
+    /// the adaptive default for batch runs ([`Engine::run`]).
+    ///
+    /// Serving runs ([`SharedEngine::advance`] and
+    /// [`SharedEngine::eval`]) resolve `Auto` to [`Sequential`] instead:
+    /// they execute on the server worker that took the request. The
+    /// server's worker pool already covers the cores, so a pool spawned
+    /// and joined per request adds CPU without adding throughput.
+    ///
+    /// [`SharedEngine::advance`]: crate::SharedEngine::advance
+    /// [`SharedEngine::eval`]: crate::SharedEngine::eval
+    /// [`Sequential`]: Parallelism::Sequential
     #[default]
     Auto,
     /// Fan rule × partition work units across this many worker threads.

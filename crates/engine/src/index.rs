@@ -134,9 +134,16 @@ impl IndexRegistry {
     /// iteration to bound memory; node ids are never recycled, so — unlike
     /// the old pointer-keyed scheme — a stale entry can go *unused* but can
     /// never alias a different set).
+    ///
+    /// Only sets of at least `min_set_len` elements are ever indexed, so
+    /// the walk skips every subtree whose cached `max_fanout` is below
+    /// that: no set inside it is large enough to have an index.
     pub fn retain_reachable(&mut self, db: &Object) {
+        if self.indexes.is_empty() {
+            return;
+        }
         let mut live: FxHashSet<NodeId> = FxHashSet::default();
-        collect_set_keys(db, &mut live);
+        collect_set_keys(db, self.min_set_len, &mut live);
         self.indexes.retain(|k, _| live.contains(k));
     }
 
@@ -151,20 +158,23 @@ impl IndexRegistry {
     }
 }
 
-fn collect_set_keys(o: &Object, out: &mut FxHashSet<NodeId>) {
+/// Collects the ids of the sets of at least `min_len` elements reachable
+/// from `o` (plus possibly smaller ones; the caller only looks up indexed
+/// ids).
+fn collect_set_keys(o: &Object, min_len: usize, out: &mut FxHashSet<NodeId>) {
     match o {
-        Object::Set(s) => {
+        Object::Set(s) if s.meta().max_fanout >= min_len => {
             out.insert(s.node_id());
             // Flat sets (cached flag) contain no nested composites.
             if !s.meta().flat {
                 for e in s.iter() {
-                    collect_set_keys(e, out);
+                    collect_set_keys(e, min_len, out);
                 }
             }
         }
-        Object::Tuple(t) if t.meta().contains_set => {
+        Object::Tuple(t) if t.meta().contains_set && t.meta().max_fanout >= min_len => {
             for (_, v) in t.entries() {
-                collect_set_keys(v, out);
+                collect_set_keys(v, min_len, out);
             }
         }
         _ => {}

@@ -321,34 +321,59 @@ const TL_CACHE_SLOTS: usize = 1 << 10;
 // L1 hits are counted on per-thread atomics and summed at `stats()` time:
 // the whole point of an L1 hit is to touch no shared state, so bumping a
 // shared shard counter on that path would reintroduce the cross-thread
-// cache-line traffic the L1 exists to avoid. Each thread registers one
-// counter it alone writes; the registry keeps it alive (`Arc`) after the
-// thread exits so totals stay monotone.
-fn l1_hit_registry() -> &'static parking_lot::Mutex<Vec<Arc<AtomicU64>>> {
-    static REGISTRY: OnceLock<parking_lot::Mutex<Vec<Arc<AtomicU64>>>> = OnceLock::new();
-    REGISTRY.get_or_init(|| parking_lot::Mutex::new(Vec::new()))
+// cache-line traffic the L1 exists to avoid. Each live thread registers
+// one counter it alone writes; when the thread exits, its count moves
+// into `retired` and its counter leaves the registry, under the registry
+// lock — so the registry is bounded by the live threads and the total
+// stays monotone.
+#[derive(Default)]
+struct L1HitRegistry {
+    live: Vec<Arc<AtomicU64>>,
+    retired: u64,
+}
+
+fn l1_hit_registry() -> &'static parking_lot::Mutex<L1HitRegistry> {
+    static REGISTRY: OnceLock<parking_lot::Mutex<L1HitRegistry>> = OnceLock::new();
+    REGISTRY.get_or_init(Default::default)
+}
+
+/// A thread's registered L1 hit counter; dropped at thread exit.
+struct L1HitCounter(Arc<AtomicU64>);
+
+impl L1HitCounter {
+    fn register() -> L1HitCounter {
+        let counter = Arc::new(AtomicU64::new(0));
+        l1_hit_registry().lock().live.push(Arc::clone(&counter));
+        L1HitCounter(counter)
+    }
+}
+
+impl Drop for L1HitCounter {
+    fn drop(&mut self) {
+        let mut registry = l1_hit_registry().lock();
+        registry.retired += self.0.load(Ordering::Relaxed);
+        registry.live.retain(|c| !Arc::ptr_eq(c, &self.0));
+    }
 }
 
 thread_local! {
-    static TL_L1_HITS: Arc<AtomicU64> = {
-        let counter = Arc::new(AtomicU64::new(0));
-        l1_hit_registry().lock().push(Arc::clone(&counter));
-        counter
-    };
+    static TL_L1_HITS: L1HitCounter = L1HitCounter::register();
 }
 
 #[inline]
 fn count_l1_hit() {
     // Uncontended: only this thread writes this counter.
-    TL_L1_HITS.with(|c| c.fetch_add(1, Ordering::Relaxed));
+    TL_L1_HITS.with(|c| c.0.fetch_add(1, Ordering::Relaxed));
 }
 
 fn l1_hits_total() -> u64 {
-    l1_hit_registry()
-        .lock()
-        .iter()
-        .map(|c| c.load(Ordering::Relaxed))
-        .sum()
+    let registry = l1_hit_registry().lock();
+    registry.retired
+        + registry
+            .live
+            .iter()
+            .map(|c| c.load(Ordering::Relaxed))
+            .sum::<u64>()
 }
 
 thread_local! {
@@ -2177,5 +2202,41 @@ mod tests {
         // distinct new tuple nodes; the other ~448 rebuilds were hits.
         assert!(after.intern_hits > before.intern_hits);
         assert!(after.intern_misses >= before.intern_misses + 64);
+    }
+
+    #[test]
+    fn exited_threads_leave_the_l1_hit_registry() {
+        // Every interning thread registers an L1 hit counter. 200
+        // short-lived threads, four at a time, must leave the registry
+        // bounded by the threads still alive (slack covers threads other
+        // tests run concurrently), and the hit total must never drop as
+        // their counts retire.
+        let live_before = l1_hit_registry().lock().live.len();
+        let mut last = stats().intern_l1_hits;
+        let first = last;
+        for batch in 0..50 {
+            let handles: Vec<_> = (0..4)
+                .map(|t| {
+                    std::thread::spawn(move || {
+                        for _ in 0..16 {
+                            Object::tuple([("l1_registry_k", Object::int(batch * 4 + t))]);
+                        }
+                    })
+                })
+                .collect();
+            for h in handles {
+                h.join().unwrap();
+            }
+            let now = stats().intern_l1_hits;
+            assert!(now >= last, "intern_l1_hits went from {last} to {now}");
+            last = now;
+        }
+        let live_after = l1_hit_registry().lock().live.len();
+        assert!(
+            live_after <= live_before + 32,
+            "registry grew from {live_before} to {live_after} counters"
+        );
+        // Each thread re-interned its tuple 15 times after the first miss.
+        assert!(last >= first + 200, "only {} L1 hits", last - first);
     }
 }

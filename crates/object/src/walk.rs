@@ -15,6 +15,13 @@
 //! Both are cheap: children iterate borrowed slices, and the unique walk
 //! deduplicates on [`NodeId`], so a deeply shared structure is traversed
 //! in time proportional to its *node count*, not its tree expansion.
+//!
+//! The walk borrows rather than clones: its callback receives
+//! `&'a Object`, a reference with the lifetime of the roots. Every node
+//! reachable from a root lives at least as long as the root (its
+//! ancestors hold it), so a consumer can collect the visited nodes as
+//! `Vec<&'a Object>` — no `Arc` bump per node — and keep them while the
+//! roots are alive.
 
 use crate::store::NodeId;
 use crate::{Attr, Object};
@@ -98,7 +105,7 @@ impl Object {
 pub fn visit_unique_postorder<'a, I, F>(roots: I, visit: F)
 where
     I: IntoIterator<Item = &'a Object>,
-    F: FnMut(&Object),
+    F: FnMut(&'a Object),
 {
     visit_unique_postorder_pruned(roots, |_| false, visit)
 }
@@ -132,46 +139,34 @@ pub fn visit_unique_postorder_pruned<'a, I, P, F>(roots: I, mut prune: P, mut vi
 where
     I: IntoIterator<Item = &'a Object>,
     P: FnMut(NodeId) -> bool,
-    F: FnMut(&Object),
+    F: FnMut(&'a Object),
 {
     let mut seen: FxHashSet<NodeId> = FxHashSet::default();
-    // Explicit stack: (object, children-expanded?). Objects are cheap to
-    // clone (Arc bumps), but we can borrow since roots outlive the walk…
-    // children borrow from their parent though, so hold parents by clone.
-    enum Frame {
-        Enter(Object),
-        Exit(Object),
-    }
-    let mut stack: Vec<Frame> = Vec::new();
+    // Marks `o` seen and asks the predicate — at most once per distinct
+    // node, however shared it is. True when the walk should descend.
+    let mut enter = |o: &Object| o.node_id().is_some_and(|id| seen.insert(id) && !prune(id));
+    // Explicit stack of entered nodes and their not-yet-walked children:
+    // every child borrows from its parent, which borrows from a root, so
+    // the walk neither clones a handle nor buffers a child list.
+    let mut stack: Vec<(&'a Object, Children<'a>)> = Vec::new();
     for root in roots {
-        if root.node_id().is_some() {
-            stack.push(Frame::Enter(root.clone()));
+        if enter(root) {
+            stack.push((root, root.children()));
         }
-        while let Some(frame) = stack.pop() {
-            match frame {
-                Frame::Enter(o) => {
-                    let id = o.node_id().expect("only composites are stacked");
-                    if !seen.insert(id) {
-                        continue;
-                    }
-                    if prune(id) {
-                        // Marked seen above: the predicate is asked at most
-                        // once per distinct node, however shared it is.
-                        continue;
-                    }
-                    let children: Vec<Object> = o
-                        .children()
-                        .filter(|c| c.node_id().is_some_and(|cid| !seen.contains(&cid)))
-                        .cloned()
-                        .collect();
-                    stack.push(Frame::Exit(o));
-                    // Reverse so canonical-order children are entered
-                    // first (purely cosmetic: any postorder is topological).
-                    for child in children.into_iter().rev() {
-                        stack.push(Frame::Enter(child));
+        while let Some((_, children)) = stack.last_mut() {
+            match children.next() {
+                // Canonical-order children are entered first. Any
+                // postorder is topological, but snapshot bytes follow
+                // this order, so it is part of the format.
+                Some(child) => {
+                    if enter(child) {
+                        stack.push((child, child.children()));
                     }
                 }
-                Frame::Exit(o) => visit(&o),
+                None => {
+                    let (o, _) = stack.pop().expect("the stack is non-empty");
+                    visit(o);
+                }
             }
         }
     }

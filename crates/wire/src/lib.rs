@@ -170,6 +170,7 @@ use codec::{checksum, checksum_extend, put_str, put_varint, put_varint_i64, Curs
 use rustc_hash::{FxHashMap, FxHashSet};
 use std::io::{Read, Write};
 use std::path::Path;
+use std::sync::Arc;
 
 /// The eight magic bytes opening every snapshot. The `\r\n` tail detects
 /// line-ending translation by transfer tools that treated the file as
@@ -372,8 +373,15 @@ fn layer_checksum(fields: &[u8], payload: &[u8]) -> u64 {
 /// Write-side state threaded through value encoding: the symbol table
 /// under construction and the combined-space local ids.
 struct Encoder {
-    symbols: Vec<String>,
-    by_name: FxHashMap<String, u64>,
+    /// Symbol payloads in index order. Names are `Arc<str>` both in the
+    /// attribute interner and in string atoms, so a new symbol costs two
+    /// reference bumps, not two string copies.
+    symbols: Vec<Arc<str>>,
+    by_name: FxHashMap<Arc<str>, u64>,
+    /// Attribute → symbol index, filled on an attribute's first use: the
+    /// name is read from the global interner (a lock and an `Arc` bump)
+    /// and hashed once per write, not once per tuple entry.
+    by_attr: FxHashMap<Attr, u64>,
     /// Base nodes, then this layer's new nodes → combined-space local id.
     locals: FxHashMap<NodeId, u64>,
     /// Cumulative node count of the base: local ids below it are reuses.
@@ -385,13 +393,23 @@ struct Encoder {
 impl Encoder {
     /// Interns a symbol (attribute name or string-atom payload) into the
     /// write-side symbol table, returning its dense index.
-    fn symbol(&mut self, name: &str) -> u64 {
+    fn symbol(&mut self, name: &Arc<str>) -> u64 {
         if let Some(&ix) = self.by_name.get(name) {
             return ix;
         }
         let ix = self.symbols.len() as u64;
-        self.symbols.push(name.to_owned());
-        self.by_name.insert(name.to_owned(), ix);
+        self.symbols.push(Arc::clone(name));
+        self.by_name.insert(Arc::clone(name), ix);
+        ix
+    }
+
+    /// The symbol index of an attribute name (see `by_attr`).
+    fn attr(&mut self, attr: Attr) -> u64 {
+        if let Some(&ix) = self.by_attr.get(&attr) {
+            return ix;
+        }
+        let ix = self.symbol(&attr.name());
+        self.by_attr.insert(attr, ix);
         ix
     }
 
@@ -442,8 +460,8 @@ impl Encoder {
 /// observation per layer), so serving-side stalls can be attributed to
 /// serialization from a [`co_obs::Snapshot`] alone.
 struct WireInstruments {
-    encode_ns: std::sync::Arc<co_obs::Histogram>,
-    decode_ns: std::sync::Arc<co_obs::Histogram>,
+    encode_ns: Arc<co_obs::Histogram>,
+    decode_ns: Arc<co_obs::Histogram>,
 }
 
 fn wire_instruments() -> &'static WireInstruments {
@@ -482,22 +500,18 @@ fn write_snapshot_inner<W: Write>(
     // Pass 1: the distinct-node table, children before parents, pruned
     // at base-resident nodes (every node in a snapshot has all its
     // descendants there too, so pruning loses nothing).
-    let mut nodes: Vec<Object> = Vec::new();
-    visit_unique_postorder_pruned(
-        roots.iter(),
-        |id| base.contains(id),
-        |o| nodes.push(o.clone()),
-    );
+    let mut nodes: Vec<&Object> = Vec::new();
+    visit_unique_postorder_pruned(roots.iter(), |id| base.contains(id), |o| nodes.push(o));
 
     // Columnar pass: pick the flat relations that get a `NODE_FLAT_SET`
     // record, then prune the row tuples whose only references are from
     // those relations — their cells carry them. A row tuple that is also
     // a root, or a child of any ordinary node, keeps its own record
     // (`Encoder::value` must be able to name it).
-    let mut columnar_of: FxHashMap<NodeId, std::sync::Arc<co_object::columnar::ColumnarRel>> =
+    let mut columnar_of: FxHashMap<NodeId, Arc<co_object::columnar::ColumnarRel>> =
         FxHashMap::default();
     if columnar {
-        for node in &nodes {
+        for &node in &nodes {
             if let Object::Set(s) = node {
                 if let Some(cols) = co_object::columnar::arena_for(s) {
                     columnar_of.insert(s.node_id(), cols);
@@ -537,10 +551,12 @@ fn write_snapshot_inner<W: Write>(
     let mut enc = Encoder {
         symbols: Vec::new(),
         by_name: FxHashMap::default(),
+        by_attr: FxHashMap::default(),
         locals: base.locals.clone(),
         base_count: base.count,
         reused: FxHashSet::default(),
     };
+    enc.locals.reserve(nodes.len());
     for (ix, node) in nodes.iter().enumerate() {
         enc.locals.insert(
             node.node_id().expect("walk yields composites"),
@@ -550,14 +566,14 @@ fn write_snapshot_inner<W: Write>(
 
     // Pass 2: encode node records (interning symbols as they appear).
     let mut table: Vec<u8> = Vec::new();
-    for node in &nodes {
+    for &node in &nodes {
         if let Some(cols) = node.node_id().and_then(|id| columnar_of.get(&id)) {
             // Columnar record: the schema spelled once, then the cells
             // column-major — all inline atoms, no node references.
             table.push(NODE_FLAT_SET);
             put_varint(&mut table, cols.arity() as u64);
-            for attr in cols.schema() {
-                let ix = enc.symbol(&attr.name());
+            for &attr in cols.schema() {
+                let ix = enc.attr(attr);
                 put_varint(&mut table, ix);
             }
             put_varint(&mut table, cols.rows() as u64);
@@ -572,8 +588,8 @@ fn write_snapshot_inner<W: Write>(
             Object::Tuple(t) => {
                 table.push(NODE_TUPLE);
                 put_varint(&mut table, t.len() as u64);
-                for (attr, value) in t.entries() {
-                    let ix = enc.symbol(&attr.name());
+                for &(attr, ref value) in t.entries() {
+                    let ix = enc.attr(attr);
                     put_varint(&mut table, ix);
                     enc.value(&mut table, value);
                 }
