@@ -24,6 +24,7 @@ use co_calculus::{
 };
 use co_object::lattice::{union, union_many};
 use co_object::{measure, store, Object};
+use co_obs::config::Knob;
 use std::sync::{mpsc, Arc};
 use std::time::Instant;
 use threadpool::ThreadPool;
@@ -131,6 +132,18 @@ pub enum Parallelism {
     Threads(usize),
 }
 
+const ENGINE_THREADS: Knob<usize> = Knob {
+    name: "CO_ENGINE_THREADS",
+    default: 0,
+    min: 0,
+};
+
+const GC_EVERY_ROUND: Knob<u32> = Knob {
+    name: "CO_GC_EVERY_ROUND",
+    default: 0,
+    min: 0,
+};
+
 /// When the engine asks the object store to garbage-collect (see
 /// `co_object::store::collect`).
 ///
@@ -143,12 +156,13 @@ pub enum Parallelism {
 /// evaluation.
 ///
 /// The cadence decides *when* the engine requests a sweep; *how* the
-/// sweep runs is the store's affair. Under `CO_GC_PAUSE_BUDGET_US` the
-/// cycle is sliced so interner locks are never held longer than the
-/// budget, and the store's dedicated collector thread runs it — the
-/// engine's `store::collect` call is still synchronous (it returns after
-/// a full cycle), so `gc_sweeps`/`gc_freed_nodes` accounting and the
-/// differential oracle see every sweep the cadence asks for.
+/// sweep runs is the store's affair. The cycle is sliced so interner
+/// locks are never held longer than the store's pause budget
+/// (`store::gc_pause_budget_us`), and the store's dedicated collector
+/// thread runs it — the engine's `store::collect` call is still
+/// synchronous (it returns after a full cycle), so
+/// `gc_sweeps`/`gc_freed_nodes` accounting and the differential oracle
+/// see every sweep the cadence asks for.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum GcCadence {
     /// Never collect during a run: the seed behaviour, right for short
@@ -162,17 +176,15 @@ pub enum GcCadence {
 
 impl GcCadence {
     /// The cadence requested by the `CO_GC_EVERY_ROUND` environment
-    /// variable: unset, unparsable, or `0` mean [`GcCadence::Off`]; `n ≥ 1`
-    /// means [`GcCadence::EveryRounds`]`(n)`. So `CO_GC_EVERY_ROUND=1
-    /// cargo test` runs an entire suite with collection forced after every
-    /// round, without code changes.
+    /// variable: unset or `0` mean [`GcCadence::Off`]; `n ≥ 1` means
+    /// [`GcCadence::EveryRounds`]`(n)`; anything else keeps `Off` and is
+    /// warned about once (see [`co_obs::config`]). So
+    /// `CO_GC_EVERY_ROUND=1 cargo test` runs an entire suite with
+    /// collection forced after every round, without code changes.
     pub fn from_env() -> GcCadence {
-        match std::env::var("CO_GC_EVERY_ROUND")
-            .ok()
-            .and_then(|v| v.trim().parse::<u32>().ok())
-        {
-            Some(n) if n >= 1 => GcCadence::EveryRounds(n),
-            _ => GcCadence::Off,
+        match GC_EVERY_ROUND.from_env() {
+            0 => GcCadence::Off,
+            n => GcCadence::EveryRounds(n),
         }
     }
 
@@ -188,8 +200,9 @@ impl GcCadence {
 impl Parallelism {
     /// The parallelism requested by the `CO_ENGINE_THREADS` environment
     /// variable: `0` selects [`Auto`] explicitly, `1` means
-    /// [`Sequential`], `n ≥ 2` means [`Threads`]`(n)`, and unset or
-    /// unparsable fall back to the adaptive default [`Auto`]. This is what
+    /// [`Sequential`], `n ≥ 2` means [`Threads`]`(n)`; unset means the
+    /// adaptive default [`Auto`], and an unparsable value keeps it and is
+    /// warned about once (see [`co_obs::config`]). This is what
     /// [`Engine::new`] starts from, so `CO_ENGINE_THREADS=4 cargo test`
     /// runs an entire suite in parallel mode — and `CO_ENGINE_THREADS=1`
     /// pins it sequential — without code changes.
@@ -198,14 +211,10 @@ impl Parallelism {
     /// [`Sequential`]: Parallelism::Sequential
     /// [`Threads`]: Parallelism::Threads
     pub fn from_env() -> Parallelism {
-        match std::env::var("CO_ENGINE_THREADS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-        {
-            Some(0) => Parallelism::Auto,
-            Some(1) => Parallelism::Sequential,
-            Some(n) => Parallelism::Threads(n),
-            None => Parallelism::Auto,
+        match ENGINE_THREADS.from_env() {
+            0 => Parallelism::Auto,
+            1 => Parallelism::Sequential,
+            n => Parallelism::Threads(n),
         }
     }
 
@@ -1117,5 +1126,21 @@ mod tests {
         let out = Engine::new(Program::new()).run(&obj!([r: {1}])).unwrap();
         assert_eq!(out.database, obj!([r: {1}]));
         assert_eq!(out.stats.iterations, 1);
+    }
+
+    #[test]
+    fn bad_engine_knobs_keep_their_defaults_with_one_rejection() {
+        for raw in ["four", "-1"] {
+            let mut warnings = Vec::new();
+            let value = ENGINE_THREADS.resolve(|_| Some(raw.to_owned()), &mut warnings);
+            assert_eq!(value, 0, "{raw}: default is auto");
+            assert_eq!(warnings.len(), 1, "{warnings:?}");
+            assert_eq!(warnings[0].variable, "CO_ENGINE_THREADS");
+            assert_eq!(warnings[0].rejected, raw);
+        }
+        let mut warnings = Vec::new();
+        let value = GC_EVERY_ROUND.resolve(|_| Some("every".to_owned()), &mut warnings);
+        assert_eq!((value, warnings.len()), (0, 1), "default is off");
+        assert_eq!(warnings[0].variable, "CO_GC_EVERY_ROUND");
     }
 }

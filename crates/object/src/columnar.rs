@@ -13,10 +13,10 @@
 //! [`Set::elements`](crate::Set::elements).
 //!
 //! Arenas are built lazily ([`arena_for`]) once a set's cardinality
-//! crosses [`columnar_min_rows`] (env `CO_COLUMNAR_MIN_ROWS`, default
-//! 64) and are memoized per [`NodeId`] — sound for the same reason the
-//! store's memo tables are: interned nodes are immutable and ids are
-//! never recycled, so an id names one set value forever. Negative
+//! crosses [`columnar_min_rows`] (default 64) and are memoized per
+//! [`NodeId`] — sound for the same reason the store's memo tables are:
+//! interned nodes are immutable and ids are never recycled, so an id
+//! names one set value forever. Negative
 //! answers (the set is not a flat uniform relation) are memoized too,
 //! so repeated probes of ineligible sets stay O(1).
 //! [`collect`](crate::store::collect) purges entries keyed by freed ids.
@@ -53,35 +53,26 @@ use crate::store::NodeId;
 use crate::{Atom, Attr, Object, Set};
 use parking_lot::RwLock;
 use rustc_hash::{FxHashMap, FxHashSet};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// Default row-count threshold for lazy arena construction: below it the
 /// bookkeeping costs more than dense scans save.
 pub const DEFAULT_COLUMNAR_MIN_ROWS: usize = 64;
 
-/// The current row-count threshold for [`arena_for`] (initialized from
-/// `CO_COLUMNAR_MIN_ROWS`, default [`DEFAULT_COLUMNAR_MIN_ROWS`]).
+static MIN_ROWS: AtomicUsize = AtomicUsize::new(DEFAULT_COLUMNAR_MIN_ROWS);
+
+/// The current row-count threshold for [`arena_for`] (default
+/// [`DEFAULT_COLUMNAR_MIN_ROWS`]).
 pub fn columnar_min_rows() -> usize {
-    min_rows_cell().load(Ordering::Relaxed)
+    MIN_ROWS.load(Ordering::Relaxed)
 }
 
 /// Adjusts the [`arena_for`] row-count threshold at runtime (tests and
 /// embedders). A threshold of 0 or 1 builds an arena for every eligible
 /// non-empty set.
 pub fn set_columnar_min_rows(rows: usize) {
-    min_rows_cell().store(rows, Ordering::Relaxed);
-}
-
-fn min_rows_cell() -> &'static AtomicUsize {
-    static CELL: OnceLock<AtomicUsize> = OnceLock::new();
-    CELL.get_or_init(|| {
-        let rows = std::env::var("CO_COLUMNAR_MIN_ROWS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .unwrap_or(DEFAULT_COLUMNAR_MIN_ROWS);
-        AtomicUsize::new(rows)
-    })
+    MIN_ROWS.store(rows, Ordering::Relaxed);
 }
 
 /// The dense columnar image of one flat relation: per-attribute column
@@ -181,11 +172,32 @@ fn cache() -> &'static RwLock<ArenaCache> {
     CACHE.get_or_init(|| RwLock::new(FxHashMap::default()))
 }
 
-static BUILDS: AtomicU64 = AtomicU64::new(0);
-static HITS: AtomicU64 = AtomicU64::new(0);
-static REJECTS: AtomicU64 = AtomicU64::new(0);
-static ROWS_BUILT: AtomicU64 = AtomicU64::new(0);
-static PURGED: AtomicU64 = AtomicU64::new(0);
+/// The arena layer's counters, registered once in the global
+/// [`co_obs`] registry (cumulative since process start).
+struct ColumnarInstruments {
+    /// `columnar.builds`: arenas built (one per distinct eligible set).
+    builds: Arc<co_obs::Counter>,
+    /// `columnar.hits`: [`arena_for`] calls answered from the cache.
+    hits: Arc<co_obs::Counter>,
+    /// `columnar.rejects`: sets probed and found ineligible (shape, not
+    /// threshold) — the columnar fallbacks.
+    rejects: Arc<co_obs::Counter>,
+    /// `columnar.rows_built`: total rows across all arenas built.
+    rows_built: Arc<co_obs::Counter>,
+    /// `columnar.purged`: cache entries dropped by GC purges.
+    purged: Arc<co_obs::Counter>,
+}
+
+fn instruments() -> &'static ColumnarInstruments {
+    static CELL: OnceLock<ColumnarInstruments> = OnceLock::new();
+    CELL.get_or_init(|| ColumnarInstruments {
+        builds: co_obs::counter("columnar.builds"),
+        hits: co_obs::counter("columnar.hits"),
+        rejects: co_obs::counter("columnar.rejects"),
+        rows_built: co_obs::counter("columnar.rows_built"),
+        purged: co_obs::counter("columnar.purged"),
+    })
+}
 
 /// Returns (building and memoizing on first ask) the columnar arena for
 /// `set`: `Some` iff the set is a flat uniform relation with at least
@@ -205,7 +217,7 @@ pub fn arena_for(set: &Set) -> Option<Arc<ColumnarRel>> {
     if let Some(cached) = cache().read().get(&id) {
         match cached {
             Some(arena) => {
-                HITS.fetch_add(1, Ordering::Relaxed);
+                instruments().hits.inc();
                 return Some(Arc::clone(arena));
             }
             None => return None,
@@ -214,12 +226,10 @@ pub fn arena_for(set: &Set) -> Option<Arc<ColumnarRel>> {
     let built = build(set).map(Arc::new);
     match &built {
         Some(arena) => {
-            BUILDS.fetch_add(1, Ordering::Relaxed);
-            ROWS_BUILT.fetch_add(arena.rows() as u64, Ordering::Relaxed);
+            instruments().builds.inc();
+            instruments().rows_built.add(arena.rows() as u64);
         }
-        None => {
-            REJECTS.fetch_add(1, Ordering::Relaxed);
-        }
+        None => instruments().rejects.inc(),
     }
     // Losing a build race is harmless: both arenas are equal images of
     // one immutable node; last write wins.
@@ -236,7 +246,7 @@ pub(crate) fn purge_freed(freed: &FxHashSet<NodeId>) -> u64 {
     let before = cache.len();
     cache.retain(|id, _| !freed.contains(id));
     let dropped = (before - cache.len()) as u64;
-    PURGED.fetch_add(dropped, Ordering::Relaxed);
+    instruments().purged.add(dropped);
     dropped
 }
 
@@ -244,35 +254,6 @@ pub(crate) fn purge_freed(freed: &FxHashSet<NodeId>) -> u64 {
 /// Counters are unaffected.
 pub fn clear_cache() {
     cache().write().clear();
-}
-
-/// Counters of the columnar arena layer. Cumulative since process start.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ColumnarStats {
-    /// Arenas built (one per distinct eligible set value).
-    pub built: u64,
-    /// [`arena_for`] calls answered from the cache.
-    pub hits: u64,
-    /// Sets probed and found ineligible (shape, not threshold).
-    pub rejected: u64,
-    /// Total rows across all arenas built.
-    pub rows_built: u64,
-    /// Cache entries dropped by GC purges.
-    pub purged: u64,
-    /// Entries currently cached (positive + negative).
-    pub entries: usize,
-}
-
-/// A point-in-time snapshot of the columnar layer's counters.
-pub fn stats() -> ColumnarStats {
-    ColumnarStats {
-        built: BUILDS.load(Ordering::Relaxed),
-        hits: HITS.load(Ordering::Relaxed),
-        rejected: REJECTS.load(Ordering::Relaxed),
-        rows_built: ROWS_BUILT.load(Ordering::Relaxed),
-        purged: PURGED.load(Ordering::Relaxed),
-        entries: cache().read().len(),
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -386,13 +367,14 @@ mod tests {
         assert!(arena_for(small.as_set().unwrap()).is_none());
 
         let big = rel(32, 5);
-        let before = stats();
+        let before = co_obs::global().snapshot();
         let a1 = arena_for(big.as_set().unwrap()).unwrap();
         let a2 = arena_for(big.as_set().unwrap()).unwrap();
         assert!(Arc::ptr_eq(&a1, &a2), "second ask must hit the cache");
-        let after = stats();
-        assert!(after.built > before.built);
-        assert!(after.hits > before.hits);
+        let window = co_obs::global().snapshot().minus(&before);
+        assert!(window.counter("columnar.builds") >= Some(1));
+        assert!(window.counter("columnar.rows_built") >= Some(32));
+        assert!(window.counter("columnar.hits") >= Some(1));
         set_columnar_min_rows(saved);
     }
 

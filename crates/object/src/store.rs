@@ -96,6 +96,7 @@
 //! ```
 
 use crate::{Attr, Object};
+use co_obs::config::Knob;
 use parking_lot::RwLock;
 use rustc_hash::{FxHashMap, FxHashSet, FxHasher};
 use std::hash::{Hash, Hasher};
@@ -591,47 +592,37 @@ const MEMO_SHARD_COUNT: usize = 16;
 /// reaching its share of this capacity evicts per [`MemoPolicy`].
 const MEMO_CAP: usize = 1 << 20;
 
-/// Sentinel meaning "capacity not yet initialized from the environment".
-const MEMO_CAP_UNSET: usize = 0;
+const MEMO_SHARD_CAP_KNOB: Knob<usize> = Knob {
+    name: "CO_MEMO_SHARD_CAP",
+    default: MEMO_CAP / MEMO_SHARD_COUNT,
+    min: 1,
+};
 
-/// Per-shard memo capacity, runtime-adjustable. Initialized lazily from
-/// the `CO_MEMO_SHARD_CAP` environment variable (default
-/// `MEMO_CAP / MEMO_SHARD_COUNT`).
+/// Per-shard memo capacity, runtime-adjustable; `CO_MEMO_SHARD_CAP`
+/// (default `MEMO_CAP / MEMO_SHARD_COUNT`) applies before first use.
 static MEMO_SHARD_CAP: std::sync::atomic::AtomicUsize =
-    std::sync::atomic::AtomicUsize::new(MEMO_CAP_UNSET);
+    std::sync::atomic::AtomicUsize::new(MEMO_CAP / MEMO_SHARD_COUNT);
+
+/// Applies `CO_MEMO_SHARD_CAP` once, before the capacity is first read or
+/// set, so the environment never overrides [`set_memo_shard_cap`].
+fn memo_shard_cap_from_env() {
+    static ONCE: std::sync::Once = std::sync::Once::new();
+    ONCE.call_once(|| MEMO_SHARD_CAP.store(MEMO_SHARD_CAP_KNOB.from_env(), Ordering::Relaxed));
+}
 
 /// Per-shard memo capacity: a tuning knob for memory-tight deployments and
 /// a lever for tests and benchmarks that need to exercise the eviction
 /// path cheaply. See [`set_memo_shard_cap`].
 pub fn memo_shard_cap() -> usize {
-    match MEMO_SHARD_CAP.load(Ordering::Relaxed) {
-        MEMO_CAP_UNSET => {
-            let cap = std::env::var("CO_MEMO_SHARD_CAP")
-                .ok()
-                .and_then(|v| v.trim().parse::<usize>().ok())
-                .filter(|cap| *cap > 0)
-                .unwrap_or(MEMO_CAP / MEMO_SHARD_COUNT);
-            // Only initialize from UNSET: a concurrent explicit
-            // `set_memo_shard_cap` must not be clobbered by the lazy
-            // env default.
-            match MEMO_SHARD_CAP.compare_exchange(
-                MEMO_CAP_UNSET,
-                cap,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => cap,
-                Err(set_concurrently) => set_concurrently,
-            }
-        }
-        cap => cap,
-    }
+    memo_shard_cap_from_env();
+    MEMO_SHARD_CAP.load(Ordering::Relaxed)
 }
 
 /// Overrides the per-shard memo capacity at runtime (values below 1 are
 /// clamped to 1). Shards above the new capacity shrink lazily, on their
 /// next insert. Intended for tests, benchmarks, and operational tuning.
 pub fn set_memo_shard_cap(cap: usize) {
+    memo_shard_cap_from_env();
     MEMO_SHARD_CAP.store(cap.max(1), Ordering::Relaxed);
 }
 
@@ -1088,8 +1079,6 @@ static GC_FREED_NODES: AtomicU64 = AtomicU64::new(0);
 /// Cumulative automatic high-water-mark collections (see
 /// [`StoreStats::gc_auto_triggers`]).
 static GC_AUTO_TRIGGERS: AtomicU64 = AtomicU64::new(0);
-/// Cumulative budgeted sweep slices (see [`StoreStats::gc_slices`]).
-static GC_SLICES: AtomicU64 = AtomicU64::new(0);
 /// Live interned nodes (tuples + sets): incremented on every intern miss,
 /// decremented per freed node by [`collect`]. The O(1) gauge the
 /// high-water trigger reads on the intern path.
@@ -1115,49 +1104,40 @@ static GC_NUDGE_PENDING: std::sync::atomic::AtomicBool = std::sync::atomic::Atom
 // Size-triggered collection: the high-water mark
 // ---------------------------------------------------------------------------
 
-/// Sentinel meaning "high-water mark not yet initialized from the
-/// environment".
-const GC_HIGH_WATER_UNSET: u64 = u64::MAX;
+const GC_HIGH_WATER_KNOB: Knob<u64> = Knob {
+    name: "CO_GC_HIGH_WATER",
+    default: 0,
+    min: 0,
+};
 
 /// The configured high-water mark (`0` = automatic collection disabled).
-static GC_HIGH_WATER: AtomicU64 = AtomicU64::new(GC_HIGH_WATER_UNSET);
+static GC_HIGH_WATER: AtomicU64 = AtomicU64::new(0);
 
 /// The live-node count at which the next automatic collection fires
 /// (`u64::MAX` = never). Re-armed with hysteresis after every auto sweep.
 static GC_NEXT_AUTO: AtomicU64 = AtomicU64::new(u64::MAX);
 
+/// Applies `CO_GC_HIGH_WATER` once, before the mark is first read or set,
+/// so the environment never overrides [`set_gc_high_water`].
+fn gc_high_water_from_env() {
+    static ONCE: std::sync::Once = std::sync::Once::new();
+    ONCE.call_once(|| store_gc_high_water(GC_HIGH_WATER_KNOB.from_env()));
+}
+
+fn store_gc_high_water(nodes: u64) {
+    GC_HIGH_WATER.store(nodes, Ordering::Relaxed);
+    GC_NEXT_AUTO.store(if nodes == 0 { u64::MAX } else { nodes }, Ordering::Relaxed);
+}
+
 /// The current high-water mark in live nodes: when an intern pushes the
 /// live-node count past it, the collector thread sweeps automatically
 /// (counted in [`StoreStats::gc_auto_triggers`]). `0` means disabled.
 ///
-/// Initialized lazily from the `CO_GC_HIGH_WATER` environment variable
+/// Taken from the `CO_GC_HIGH_WATER` environment variable on first use
 /// (default: disabled); override at runtime with [`set_gc_high_water`].
 pub fn gc_high_water() -> u64 {
-    match GC_HIGH_WATER.load(Ordering::Relaxed) {
-        GC_HIGH_WATER_UNSET => {
-            let hw = std::env::var("CO_GC_HIGH_WATER")
-                .ok()
-                .and_then(|v| v.trim().parse::<u64>().ok())
-                .unwrap_or(0);
-            // Only initialize from UNSET: a concurrent explicit
-            // `set_gc_high_water` must not be clobbered by the env default.
-            match GC_HIGH_WATER.compare_exchange(
-                GC_HIGH_WATER_UNSET,
-                hw,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => {
-                    if hw > 0 {
-                        GC_NEXT_AUTO.store(hw, Ordering::Relaxed);
-                    }
-                    hw
-                }
-                Err(set_concurrently) => set_concurrently,
-            }
-        }
-        hw => hw,
-    }
+    gc_high_water_from_env();
+    GC_HIGH_WATER.load(Ordering::Relaxed)
 }
 
 /// Sets the high-water mark: once more than `nodes` interned nodes are
@@ -1178,17 +1158,13 @@ pub fn gc_high_water() -> u64 {
 /// store::set_gc_high_water(0); // back to explicit-only collection
 /// ```
 pub fn set_gc_high_water(nodes: u64) {
-    GC_HIGH_WATER.store(nodes, Ordering::Relaxed);
-    GC_NEXT_AUTO.store(if nodes == 0 { u64::MAX } else { nodes }, Ordering::Relaxed);
+    gc_high_water_from_env();
+    store_gc_high_water(nodes);
 }
 
 // ---------------------------------------------------------------------------
 // Pause budget: incremental (sliced) sweeps
 // ---------------------------------------------------------------------------
-
-/// Sentinel meaning "pause budget not yet initialized from the
-/// environment".
-const GC_PAUSE_BUDGET_UNSET: u64 = u64::MAX;
 
 /// Default per-slice pause budget in microseconds (~2ms): long enough to
 /// amortize the slice bookkeeping, short enough that a request thread
@@ -1197,53 +1173,25 @@ pub const GC_PAUSE_BUDGET_DEFAULT_US: u64 = 2_000;
 
 /// The configured per-slice pause budget in µs (`0` = unbudgeted: one
 /// stop-the-world slice, the pre-PR-10 behaviour).
-static GC_PAUSE_BUDGET_US: AtomicU64 = AtomicU64::new(GC_PAUSE_BUDGET_UNSET);
+static GC_PAUSE_BUDGET_US: AtomicU64 = AtomicU64::new(GC_PAUSE_BUDGET_DEFAULT_US);
 
-/// The per-slice GC pause budget in microseconds. A [`collect`] cycle
-/// sweeps the interner in **slices**: once a slice has run for this long,
-/// the sweep releases every lock it holds, records the slice's pause into
-/// the `store.gc_pause_ns` histogram, yields, and resumes — so an intern
+/// The per-slice GC pause budget in microseconds (default
+/// [`GC_PAUSE_BUDGET_DEFAULT_US`]). A [`collect`] cycle sweeps the
+/// interner in **slices**: once a slice has run for this long, the sweep
+/// releases every lock it holds, records the slice's pause into the
+/// `store.gc_pause_ns` histogram, yields, and resumes — so an intern
 /// call never waits on a shard lock for more than about one budget, no
 /// matter how large the store is. `0` disables slicing (single
 /// stop-the-world slice per cycle).
-///
-/// Initialized lazily from the `CO_GC_PAUSE_BUDGET_US` environment
-/// variable (default [`GC_PAUSE_BUDGET_DEFAULT_US`]); override at runtime
-/// with [`set_gc_pause_budget_us`].
 pub fn gc_pause_budget_us() -> u64 {
-    match GC_PAUSE_BUDGET_US.load(Ordering::Relaxed) {
-        GC_PAUSE_BUDGET_UNSET => {
-            let us = std::env::var("CO_GC_PAUSE_BUDGET_US")
-                .ok()
-                .and_then(|v| v.trim().parse::<u64>().ok())
-                .unwrap_or(GC_PAUSE_BUDGET_DEFAULT_US);
-            // Only initialize from UNSET: a concurrent explicit
-            // `set_gc_pause_budget_us` must not be clobbered.
-            match GC_PAUSE_BUDGET_US.compare_exchange(
-                GC_PAUSE_BUDGET_UNSET,
-                us,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => us,
-                Err(set_concurrently) => set_concurrently,
-            }
-        }
-        us => us,
-    }
+    GC_PAUSE_BUDGET_US.load(Ordering::Relaxed)
 }
 
 /// Overrides the per-slice pause budget at runtime (`0` = unbudgeted
-/// stop-the-world slices). Takes effect at the next [`collect`] cycle.
+/// stop-the-world slices, the oracle `tests/gc_incremental.rs` compares
+/// against). Takes effect at the next [`collect`] cycle.
 pub fn set_gc_pause_budget_us(us: u64) {
-    GC_PAUSE_BUDGET_US.store(
-        if us == GC_PAUSE_BUDGET_UNSET {
-            us - 1
-        } else {
-            us
-        },
-        Ordering::Relaxed,
-    );
+    GC_PAUSE_BUDGET_US.store(us, Ordering::Relaxed);
 }
 
 // ---------------------------------------------------------------------------
@@ -1474,7 +1422,7 @@ pub fn collect() -> SweepStats {
 struct GcInstruments {
     /// Per-**slice** pause durations: how long each budgeted slice held
     /// interner/memo locks (the time interners can actually be blocked).
-    /// With slicing off (`CO_GC_PAUSE_BUDGET_US=0`) the single sample is
+    /// With slicing off (a pause budget of 0) the single sample is
     /// the cycle's total lock-held time — the stop-the-world pause.
     pause_ns: std::sync::Arc<co_obs::Histogram>,
     /// Whole-cycle durations, slice yields included.
@@ -1502,7 +1450,7 @@ fn gc_instruments() -> &'static GcInstruments {
 /// [`Slicer::breakpoint`] at lock-free points; a slice only ends at a
 /// breakpoint, so every lock is released before the yield. Each slice's
 /// pause is recorded into `store.gc_pause_ns`; with slicing off
-/// (`CO_GC_PAUSE_BUDGET_US=0`) the single sample is the cycle's total
+/// (a pause budget of 0) the single sample is the cycle's total
 /// lock-held time — the stop-the-world pause.
 ///
 /// A **paced** slicer additionally sleeps for twice the slice's own pause
@@ -1511,7 +1459,7 @@ fn gc_instruments() -> &'static GcInstruments {
 /// never monopolizes a core against the serving threads; explicit
 /// `collect()` cycles never pace — their caller wants the cycle done.
 struct Slicer {
-    /// `None` = unbudgeted (`CO_GC_PAUSE_BUDGET_US=0`): one slice.
+    /// `None` = unbudgeted (a pause budget of 0): one slice.
     budget: Option<std::time::Duration>,
     /// Continuous-hold cap: budget/4. The pause budget bounds a *slice's*
     /// accumulated lock-held time, but an interner parked on a shard only
@@ -1624,7 +1572,6 @@ impl Slicer {
     fn record_slice(&mut self) {
         gc_instruments().pause_ns.record_duration(self.spent());
         gc_instruments().slices.inc();
-        GC_SLICES.fetch_add(1, Ordering::Relaxed);
         self.slices += 1;
     }
 
@@ -1956,7 +1903,8 @@ pub struct StoreStats {
     /// by the high-water mark (see [`set_gc_high_water`]).
     pub gc_auto_triggers: u64,
     /// Budgeted sweep slices run by all cycles since process start (equals
-    /// [`StoreStats::gc_sweeps`] when every cycle fit its pause budget).
+    /// [`StoreStats::gc_sweeps`] when every cycle fit its pause budget) —
+    /// the `store.gc_slices` registry counter.
     pub gc_slices: u64,
     /// Live interned nodes per the O(1) gauge ([`live_nodes`]); tracks
     /// `tuple_nodes + set_nodes` exactly between sweeps.
@@ -1995,7 +1943,7 @@ pub fn stats() -> StoreStats {
     s.gc_sweeps = GC_SWEEPS.load(Ordering::Relaxed);
     s.gc_freed_nodes = GC_FREED_NODES.load(Ordering::Relaxed);
     s.gc_auto_triggers = GC_AUTO_TRIGGERS.load(Ordering::Relaxed);
-    s.gc_slices = GC_SLICES.load(Ordering::Relaxed);
+    s.gc_slices = gc_instruments().slices.get();
     s.live_nodes = live_nodes();
     s.pinned_roots = pinned_roots();
     s
@@ -2238,5 +2186,27 @@ mod tests {
         );
         // Each thread re-interned its tuple 15 times after the first miss.
         assert!(last >= first + 200, "only {} L1 hits", last - first);
+    }
+
+    #[test]
+    fn bad_store_knobs_keep_their_defaults_with_one_rejection() {
+        let mut warnings = Vec::new();
+        let hw = GC_HIGH_WATER_KNOB.resolve(|_| Some("20k".to_owned()), &mut warnings);
+        assert_eq!(
+            (hw, warnings.len()),
+            (0, 1),
+            "20k must not arm GC: {warnings:?}"
+        );
+        assert_eq!(
+            (warnings[0].variable.as_str(), warnings[0].rejected.as_str()),
+            ("CO_GC_HIGH_WATER", "20k")
+        );
+        for raw in ["abc", "0"] {
+            let mut warnings = Vec::new();
+            let cap = MEMO_SHARD_CAP_KNOB.resolve(|_| Some(raw.to_owned()), &mut warnings);
+            assert_eq!(cap, MEMO_CAP / MEMO_SHARD_COUNT, "{raw}");
+            assert_eq!(warnings.len(), 1, "{warnings:?}");
+            assert_eq!(warnings[0].variable, "CO_MEMO_SHARD_CAP");
+        }
     }
 }

@@ -13,9 +13,14 @@
 //!   gated by `CO_TRACE`. Off (the default) it costs one relaxed load;
 //!   on, each event is one JSON object per line to stderr or a file.
 //!
-//! Knobs: `CO_METRICS` (default on; `0`/`off`/`false` disable gated
-//! recording) and `CO_TRACE` (unset/`0` off, `1`/`stderr` to stderr,
-//! anything else an append-mode file path).
+//! Instruments always record. The one knob of its own is `CO_TRACE`
+//! (unset/`0` off, `1`/`stderr` to stderr, anything else an append-mode
+//! file path).
+//!
+//! [`config`] is the workspace's one reader of `CO_*` variables: every
+//! crate reads its knobs through [`config::var`] and parses them with
+//! [`config::Knob`], so a bad value is treated the same everywhere — it
+//! keeps the default and is warned about once.
 //!
 //! Hot-path pattern — resolve instruments once, mutate through `Arc`s:
 //!
@@ -43,14 +48,15 @@
 //! assert_eq!(snap.histogram("doc.latency_ns").unwrap().quantile(1.0), 1_500);
 //! ```
 
+pub mod config;
 pub mod json;
 mod metrics;
 mod registry;
 mod trace;
 
 pub use metrics::{
-    bucket_bounds, bucket_index, metrics_enabled, set_metrics_enabled, Counter, Gauge, Histogram,
-    HistogramSnapshot, NUM_BUCKETS, SUB_BUCKET_BITS,
+    bucket_bounds, bucket_index, Counter, Gauge, Histogram, HistogramSnapshot, NUM_BUCKETS,
+    SUB_BUCKET_BITS,
 };
 pub use registry::{counter, gauge, global, histogram, Registry, Snapshot};
 pub use trace::{emit, set_trace_output, trace_enabled, warn, FieldValue, TraceOutput};

@@ -1,9 +1,7 @@
 //! Lock-free instruments: counters, gauges, and log-bucketed histograms.
 //!
 //! Every mutation is a relaxed atomic operation — no locks, no
-//! allocation — so instruments can sit on request hot paths. The
-//! process-wide `CO_METRICS` gate (default **on**) turns every gated
-//! mutation into a single relaxed load plus a predictable branch.
+//! allocation — so instruments can sit on request hot paths.
 //!
 //! Histograms use HDR-style logarithmic buckets: values below 32 are
 //! exact, and each power-of-two octave above that is split into 32
@@ -12,7 +10,7 @@
 //! `sum`, and `count` are tracked exactly, and quantile estimates are
 //! clamped into `[min, max]`, so `p(1.0)` is always the exact maximum.
 
-use std::sync::atomic::{AtomicI64, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::time::Duration;
 
 /// Sub-bucket resolution: each power-of-two octave is split into
@@ -51,38 +49,6 @@ fn bucket_representative(index: usize) -> u64 {
     low + (high - low) / 2
 }
 
-// Process-wide metrics gate: 0 = uninitialised, 1 = off, 2 = on.
-static METRICS_STATE: AtomicU8 = AtomicU8::new(0);
-
-/// Whether gated instruments record. One relaxed load after first use;
-/// initialised from `CO_METRICS` (default on, `0`/`off`/`false` disable).
-#[inline]
-pub fn metrics_enabled() -> bool {
-    match METRICS_STATE.load(Ordering::Relaxed) {
-        2 => true,
-        1 => false,
-        _ => init_metrics_from_env(),
-    }
-}
-
-#[cold]
-fn init_metrics_from_env() -> bool {
-    let on = !matches!(
-        std::env::var("CO_METRICS").as_deref(),
-        Ok("0") | Ok("off") | Ok("false")
-    );
-    METRICS_STATE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-    on
-}
-
-/// Overrides the `CO_METRICS` gate for the whole process. Intended for
-/// embedders measuring their own instrumentation overhead; flip only at
-/// quiesce — gauges incremented while enabled must be decremented while
-/// enabled to stay balanced.
-pub fn set_metrics_enabled(on: bool) {
-    METRICS_STATE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-}
-
 /// A monotonically increasing event count.
 #[derive(Debug, Default)]
 pub struct Counter {
@@ -101,9 +67,7 @@ impl Counter {
 
     #[inline]
     pub fn add(&self, n: u64) {
-        if metrics_enabled() {
-            self.value.fetch_add(n, Ordering::Relaxed);
-        }
+        self.value.fetch_add(n, Ordering::Relaxed);
     }
 
     pub fn get(&self) -> u64 {
@@ -134,15 +98,11 @@ impl Gauge {
 
     #[inline]
     pub fn add(&self, n: i64) {
-        if metrics_enabled() {
-            self.value.fetch_add(n, Ordering::Relaxed);
-        }
+        self.value.fetch_add(n, Ordering::Relaxed);
     }
 
     pub fn set(&self, n: i64) {
-        if metrics_enabled() {
-            self.value.store(n, Ordering::Relaxed);
-        }
+        self.value.store(n, Ordering::Relaxed);
     }
 
     pub fn get(&self) -> i64 {
@@ -179,19 +139,9 @@ impl Histogram {
         }
     }
 
-    /// Records one observation, subject to the `CO_METRICS` gate.
+    /// Records one observation.
     #[inline]
     pub fn record(&self, value: u64) {
-        if metrics_enabled() {
-            self.record_always(value);
-        }
-    }
-
-    /// Records one observation regardless of the gate — for callers
-    /// (like a load generator's client-side latencies) that must keep
-    /// measuring while the gate is off for the system under test.
-    #[inline]
-    pub fn record_always(&self, value: u64) {
         self.buckets[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(value, Ordering::Relaxed);
@@ -212,7 +162,7 @@ impl Histogram {
     /// A consistent-enough copy for reporting. Buckets are read after
     /// the totals, so a racing `record` can only make `buckets` sum to
     /// slightly more than `count` — never less than what was recorded.
-    /// `record_always` bumps `count` before `min`/`max`, so a racing
+    /// `record` bumps `count` before `min`/`max`, so a racing
     /// read can observe `count > 0` while `min` is still the `u64::MAX`
     /// sentinel (or above the not-yet-stored `max`); `min` is pinned to
     /// `max` here so every snapshot satisfies `min <= max`.
@@ -404,7 +354,7 @@ mod tests {
     fn small_values_are_exact_and_quantiles_bounded() {
         let h = Histogram::new();
         for v in 1..=100u64 {
-            h.record_always(v);
+            h.record(v);
         }
         let s = h.snapshot();
         assert_eq!(s.count, 100);
@@ -423,10 +373,10 @@ mod tests {
         let a = Histogram::new();
         let b = Histogram::new();
         for v in [3u64, 40, 41, 1000, 65_536, 1 << 40] {
-            a.record_always(v);
+            a.record(v);
         }
         for v in [40u64, 7, 9_999_999] {
-            b.record_always(v);
+            b.record(v);
         }
         let (sa, sb) = (a.snapshot(), b.snapshot());
         let mut merged = sa.clone();
@@ -450,15 +400,15 @@ mod tests {
         // own delta buckets.
         let h = Histogram::new();
         // Window 1: one huge and one tiny outlier.
-        h.record_always(1);
-        h.record_always(250_000_000);
+        h.record(1);
+        h.record(250_000_000);
         let s1 = h.snapshot();
         let w1 = s1.minus(&HistogramSnapshot::default());
         assert_eq!(w1.min, 1);
         assert_eq!(w1.max, 250_000_000); // capped by cumulative max: exact
                                          // Window 2: everything lands strictly inside window 1's extremes.
         for v in [5_000u64, 6_000, 7_000] {
-            h.record_always(v);
+            h.record(v);
         }
         let s2 = h.snapshot();
         let w2 = s2.minus(&s1);
@@ -481,7 +431,7 @@ mod tests {
     #[test]
     fn quantile_tolerates_inverted_min_max() {
         // A torn snapshot (count bumped before min/max in
-        // `record_always`) or a hand-built one can carry `min > max`;
+        // `record`) or a hand-built one can carry `min > max`;
         // `quantile` must not panic in `clamp` on it.
         let s = HistogramSnapshot {
             count: 1,
@@ -502,7 +452,7 @@ mod tests {
                 let h = std::sync::Arc::clone(&h);
                 std::thread::spawn(move || {
                     for i in 0..10_000u64 {
-                        h.record_always(t * 10_000 + i);
+                        h.record(t * 10_000 + i);
                     }
                 })
             })

@@ -252,10 +252,10 @@ mod tests {
         let r = Registry::new();
         r.counter("a.n").add(10);
         r.gauge("a.level").add(4);
-        r.histogram("a.lat_ns").record_always(100);
+        r.histogram("a.lat_ns").record(100);
         let before = r.snapshot();
         r.counter("a.n").add(5);
-        r.histogram("a.lat_ns").record_always(200);
+        r.histogram("a.lat_ns").record(200);
         let after = r.snapshot();
 
         assert_eq!(after.counter("a.n"), Some(15));

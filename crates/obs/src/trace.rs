@@ -61,13 +61,10 @@ pub fn trace_enabled() -> bool {
 
 #[cold]
 fn init_trace_from_env() -> bool {
-    let out = match std::env::var("CO_TRACE") {
-        Err(_) => TraceOutput::Off,
-        Ok(v) => match v.as_str() {
-            "" | "0" => TraceOutput::Off,
-            "1" | "stderr" => TraceOutput::Stderr,
-            path => TraceOutput::File(PathBuf::from(path)),
-        },
+    let out = match crate::config::var("CO_TRACE").as_deref() {
+        None | Some("" | "0") => TraceOutput::Off,
+        Some("1" | "stderr") => TraceOutput::Stderr,
+        Some(path) => TraceOutput::File(PathBuf::from(path)),
     };
     set_trace_output(out);
     TRACE_STATE.load(Ordering::Relaxed) == 2

@@ -1,34 +1,12 @@
-//! The `CO_METRICS` gate and the trace file sink, exercised in a
-//! process of their own: both are process-global, so this file holds a
-//! single test to keep toggles race-free.
+//! The trace gate and the trace file sink, exercised in a process of
+//! their own: both are process-global, so this file holds a single test
+//! to keep toggles race-free.
 
-use co_obs::{json, Counter, FieldValue, Histogram, TraceOutput};
+use co_obs::{json, FieldValue, TraceOutput};
 use std::io::Read;
 
 #[test]
 fn gate_and_file_sink_behave() {
-    // Default (CO_METRICS unset in the test environment): recording on.
-    let c = Counter::new();
-    let h = Histogram::new();
-    c.inc();
-    h.record(10);
-    assert_eq!(c.get(), 1);
-    assert_eq!(h.count(), 1);
-
-    // Gate off: gated mutations stop, record_always keeps working.
-    co_obs::set_metrics_enabled(false);
-    assert!(!co_obs::metrics_enabled());
-    c.inc();
-    h.record(10);
-    assert_eq!(c.get(), 1);
-    assert_eq!(h.count(), 1);
-    h.record_always(20);
-    assert_eq!(h.count(), 2);
-
-    co_obs::set_metrics_enabled(true);
-    c.inc();
-    assert_eq!(c.get(), 2);
-
     // Trace off by default: emit is a no-op.
     assert!(!co_obs::trace_enabled());
     co_obs::emit("gate.ignored", &[]);

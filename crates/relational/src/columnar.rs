@@ -20,7 +20,8 @@
 //! schemas, empty — an empty set has no schema to infer) are a
 //! [`RelationalError::NotFlat`]; below the arena row threshold the
 //! columns are built ad hoc without being cached, so the operators are
-//! total over flat relations regardless of `CO_COLUMNAR_MIN_ROWS`.
+//! total over flat relations regardless of
+//! [`columnar_min_rows`](co_object::columnar::columnar_min_rows).
 
 use crate::{RelSchema, RelationalError};
 use co_object::columnar::{self as col, ColumnarRel};

@@ -58,16 +58,17 @@
 //! | `CO_SERVER_SESSION_QUEUE` | `16` | per-session queued-request bound; at the bound the socket stops being read (backpressure) |
 //! | `CO_SERVER_MAX_INFLIGHT` | `1024` | server-wide admitted-request cap; beyond it requests get a typed `Overloaded` rejection |
 //! | `CO_SERVER_MAX_SESSIONS` | `1024` | concurrent sessions before new connections are rejected with a typed `SessionLimit` error |
-//! | `CO_SERVER_MAX_FRAME` | 16 MiB | per-frame body cap, enforced before allocation |
-//! | `CO_METRICS` | on | `0`/`off`/`false` disable the co-obs metric registry (counters/histograms become no-ops; the `Request::Metrics` frame still answers, with frozen values) |
+//! | `CO_SERVER_MAX_FRAME` | 16 MiB | per-frame body cap, enforced before allocation ([`Client::connect`] assumes the default; pass another cap to [`Client::connect_with`]) |
 //! | `CO_TRACE` | off | `1`/`stderr` emit JSON-lines spans to stderr; any other value is an append-mode file path |
 //!
-//! A set-but-unparsable value keeps the default **and emits a one-line
-//! structured warning** (a single JSON line through the co-obs event
-//! emitter — stderr unless `CO_TRACE` routes it to a file) naming the
-//! variable and the rejected value. Engine knobs (`CO_ENGINE_THREADS`,
-//! `CO_GC_EVERY_ROUND`, …) apply unchanged — the serving layer adds no
-//! semantics of its own.
+//! Every variable is read through the co-obs reader
+//! ([`co_obs::config`]), once per process. A set-but-unparsable or
+//! out-of-range value keeps the default **and emits one structured
+//! warning line** (JSON through the co-obs event emitter — stderr unless
+//! `CO_TRACE` routes it to a file) naming the variable and the rejected
+//! value. Engine and store knobs (`CO_ENGINE_THREADS`,
+//! `CO_GC_EVERY_ROUND`, `CO_MEMO_SHARD_CAP`, `CO_GC_HIGH_WATER`) apply
+//! unchanged — the serving layer adds no semantics of its own.
 //!
 //! ## Observability
 //!
@@ -91,11 +92,13 @@ pub mod protocol;
 mod reactor;
 
 pub use client::{Advanced, Client, ClientError};
+pub use co_obs::config::ConfigWarning;
 pub use error::ProtocolError;
 pub use frame::{FrameDecoder, DEFAULT_MAX_FRAME_LEN, FRAME_HEADER_LEN};
 pub use protocol::{handle, ErrorCode, Request, Response, SessionState, StatsDigest};
 
 use co_engine::SharedEngine;
+use co_obs::config::Knob;
 use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -128,76 +131,55 @@ pub struct ServerConfig {
     pub max_inflight: usize,
 }
 
-/// A set-but-rejected configuration variable, reported by
-/// [`ServerConfig::from_vars`] and emitted by [`ServerConfig::from_env`]
-/// as one structured warning line through the co-obs event emitter. The
-/// fields are separate (not a pre-baked message) so the emitted JSON
-/// carries `variable` and `rejected` as machine-readable fields.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ConfigWarning {
-    /// The `CO_SERVER_*` variable that was set.
-    pub variable: String,
-    /// The value that failed to parse, verbatim.
-    pub rejected: String,
-    /// Why it was rejected and which default is kept.
-    pub detail: String,
-}
-
-impl ConfigWarning {
-    fn new(variable: &str, rejected: &str, detail: String) -> ConfigWarning {
-        ConfigWarning {
-            variable: variable.to_owned(),
-            rejected: rejected.to_owned(),
-            detail,
-        }
-    }
-}
-
-impl std::fmt::Display for ConfigWarning {
-    /// The human rendering, shaped like the pre-structured stderr line:
-    /// `ignoring CO_SERVER_MAX_FRAME="-5": not a positive byte count;
-    /// keeping 16777216`.
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "ignoring {}={:?}: {}",
-            self.variable, self.rejected, self.detail
-        )
-    }
-}
-
 impl Default for ServerConfig {
-    /// Baseline knob values, with the `CO_SERVER_*` environment applied
-    /// on top (silently — [`ServerConfig::from_env`] is the constructor
-    /// that warns about rejected values). Reading the environment here
-    /// mirrors the engine's `Default` honoring `CO_ENGINE_THREADS`, and
-    /// lets a whole test suite be re-run under any knob setting without
-    /// code changes.
+    /// The same as [`ServerConfig::from_env`]: the baseline knob values
+    /// with the `CO_SERVER_*` environment applied on top. Reading the
+    /// environment here mirrors the engine's `Default` honoring
+    /// `CO_ENGINE_THREADS`, and lets a whole test suite be re-run under
+    /// any knob setting without code changes.
     fn default() -> ServerConfig {
-        ServerConfig::from_vars(|key| std::env::var(key).ok()).0
+        ServerConfig::from_env()
     }
 }
+
+/// The default listen address.
+const DEFAULT_ADDR: &str = "127.0.0.1:0";
+const MAX_SESSIONS: Knob<usize> = Knob {
+    name: "CO_SERVER_MAX_SESSIONS",
+    default: 1024,
+    min: 1,
+};
+const MAX_FRAME: Knob<u64> = Knob {
+    name: "CO_SERVER_MAX_FRAME",
+    default: DEFAULT_MAX_FRAME_LEN,
+    min: 1,
+};
+const WORKERS: Knob<usize> = Knob {
+    name: "CO_SERVER_WORKERS",
+    default: 0,
+    min: 0,
+};
+const SESSION_QUEUE: Knob<usize> = Knob {
+    name: "CO_SERVER_SESSION_QUEUE",
+    default: 16,
+    min: 1,
+};
+const MAX_INFLIGHT: Knob<usize> = Knob {
+    name: "CO_SERVER_MAX_INFLIGHT",
+    default: 1024,
+    min: 1,
+};
 
 impl ServerConfig {
-    /// Configuration from the `CO_SERVER_*` environment. A variable that
-    /// is set but unparsable keeps its default and emits one structured
-    /// warning line (JSON, stderr by default — the `co-obs` event
-    /// emitter) naming the variable and the rejected value — silent
-    /// fallback hides typos like `CO_SERVER_MAX_SESSIONS=1k` until the
-    /// cap bites in production.
+    /// Configuration from the `CO_SERVER_*` environment, read through
+    /// the co-obs reader ([`co_obs::config::var`]). A variable that is
+    /// set but unparsable or out of range keeps its default and is
+    /// warned about once per process, as one structured line naming the
+    /// variable and the rejected value — silent fallback hides typos like
+    /// `CO_SERVER_MAX_SESSIONS=1k` until the cap bites in production.
     pub fn from_env() -> ServerConfig {
-        let (config, warnings) = ServerConfig::from_vars(|key| std::env::var(key).ok());
-        for w in &warnings {
-            co_obs::warn(
-                "co-server",
-                "ignoring unparsable configuration variable",
-                &[
-                    ("variable", co_obs::FieldValue::Str(&w.variable)),
-                    ("rejected", co_obs::FieldValue::Str(&w.rejected)),
-                    ("detail", co_obs::FieldValue::Str(&w.detail)),
-                ],
-            );
-        }
+        let (config, warnings) = ServerConfig::from_vars(co_obs::config::var);
+        warnings.iter().for_each(ConfigWarning::emit);
         config
     }
 
@@ -205,77 +187,28 @@ impl ServerConfig {
     /// the testable core. Returns the configuration plus the warnings
     /// for set-but-rejected values.
     pub fn from_vars(get: impl Fn(&str) -> Option<String>) -> (ServerConfig, Vec<ConfigWarning>) {
-        // The environment-free baseline (`Default` layers the env on top
-        // of this, so it cannot be written in terms of `Default`).
-        let mut cfg = ServerConfig {
-            addr: "127.0.0.1:0".to_owned(),
-            max_sessions: 1024,
-            max_frame_len: DEFAULT_MAX_FRAME_LEN,
-            workers: 0,
-            session_queue: 16,
-            max_inflight: 1024,
-        };
         let mut warnings = Vec::new();
-
-        if let Some(addr) = get("CO_SERVER_ADDR") {
-            let addr = addr.trim();
-            if addr.is_empty() {
+        let addr = match get("CO_SERVER_ADDR") {
+            Some(addr) if !addr.trim().is_empty() => addr.trim().to_owned(),
+            Some(raw) => {
                 warnings.push(ConfigWarning::new(
                     "CO_SERVER_ADDR",
-                    "",
-                    format!("empty address; keeping \"{}\"", cfg.addr),
-                ));
-            } else {
-                cfg.addr = addr.to_owned();
-            }
-        }
-        let mut usize_knob = |key: &str, min: usize, slot: &mut usize, meaning: &str| {
-            if let Some(raw) = get(key) {
-                match raw.trim().parse::<usize>() {
-                    Ok(n) if n >= min => *slot = n,
-                    _ => warnings.push(ConfigWarning::new(
-                        key,
-                        &raw,
-                        format!("not {meaning}; keeping {}", *slot),
-                    )),
-                }
-            }
-        };
-        usize_knob(
-            "CO_SERVER_MAX_SESSIONS",
-            1,
-            &mut cfg.max_sessions,
-            "a positive session count",
-        );
-        usize_knob(
-            "CO_SERVER_WORKERS",
-            0,
-            &mut cfg.workers,
-            "a worker count (0 = auto)",
-        );
-        usize_knob(
-            "CO_SERVER_SESSION_QUEUE",
-            1,
-            &mut cfg.session_queue,
-            "a positive queue bound",
-        );
-        usize_knob(
-            "CO_SERVER_MAX_INFLIGHT",
-            1,
-            &mut cfg.max_inflight,
-            "a positive in-flight cap",
-        );
-        if let Some(raw) = get("CO_SERVER_MAX_FRAME") {
-            match raw.trim().parse::<u64>() {
-                Ok(n) if n >= 1 => cfg.max_frame_len = n,
-                _ => warnings.push(ConfigWarning::new(
-                    "CO_SERVER_MAX_FRAME",
                     &raw,
-                    format!("not a positive byte count; keeping {}", cfg.max_frame_len),
-                )),
+                    format!("empty address; keeping \"{DEFAULT_ADDR}\""),
+                ));
+                DEFAULT_ADDR.to_owned()
             }
-        }
-        (cfg, warnings)
+            None => DEFAULT_ADDR.to_owned(),
+        };
+        let config = ServerConfig {
+            addr,
+            max_sessions: MAX_SESSIONS.resolve(&get, &mut warnings),
+            max_frame_len: MAX_FRAME.resolve(&get, &mut warnings),
+            workers: WORKERS.resolve(&get, &mut warnings),
+            session_queue: SESSION_QUEUE.resolve(&get, &mut warnings),
+            max_inflight: MAX_INFLIGHT.resolve(&get, &mut warnings),
+        };
+        (config, warnings)
     }
 
     /// The worker count the server actually spawns: `workers`, or —

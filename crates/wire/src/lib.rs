@@ -92,7 +92,8 @@
 //! the same canonicalizing constructors as any other node, so a columnar
 //! snapshot restores to bit-identical objects and `NodeId`s. Eligibility
 //! and the row threshold are [`co_object::columnar`]'s
-//! (`CO_COLUMNAR_MIN_ROWS`); when no set qualifies, the bytes are the
+//! ([`columnar_min_rows`](co_object::columnar::columnar_min_rows)); when
+//! no set qualifies, the bytes are the
 //! ones [`write_snapshot`] writes.
 //!
 //! The columnar encoding is an explicit writer choice, never picked
@@ -674,7 +675,8 @@ pub fn write_snapshot<W: Write>(
 
 /// A full snapshot with the **columnar fast path**: flat relations that
 /// qualify for a [`co_object::columnar`] arena (same-schema rows of
-/// atoms, at least `CO_COLUMNAR_MIN_ROWS` of them) are encoded as
+/// atoms, at least [`columnar_min_rows`](co_object::columnar::columnar_min_rows)
+/// of them) are encoded as
 /// schema-once column-major records, and their row tuples — when nothing
 /// outside the relation references them — are pruned from the node
 /// table (see [`WriteStats::columnar_sets`]). With no qualifying set the
@@ -1551,7 +1553,7 @@ mod tests {
     }
 
     /// A flat relation of `rows` same-schema atom tuples — large enough
-    /// (≥ the default `CO_COLUMNAR_MIN_ROWS` of 64) to qualify for a
+    /// (≥ the default `columnar_min_rows` of 64) to qualify for a
     /// columnar arena without touching the process-global threshold.
     fn flat_relation(rows: i64) -> Object {
         Object::set((0..rows).map(|i| {

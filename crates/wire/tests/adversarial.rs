@@ -222,7 +222,7 @@ fn assert_inspector_rejects_every_corruption(name: &str, bytes: &[u8]) {
 }
 
 /// A columnar snapshot: a flat relation large enough for the
-/// default `CO_COLUMNAR_MIN_ROWS` threshold, mixing every atom kind the
+/// default `columnar_min_rows` threshold, mixing every atom kind the
 /// columns can carry, plus one ordinary root alongside.
 fn columnar_corpus_bytes() -> Vec<u8> {
     let rel = Object::set((0..100i64).map(|i| {

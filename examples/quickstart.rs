@@ -187,8 +187,7 @@ fn main() {
     //    pauses, wire encode/decode. One snapshot reads it all; the same
     //    registry is what a server returns for a `metrics` request and
     //    what the REPL's `metrics` command prints. (Set CO_TRACE=stderr
-    //    to also stream per-round spans as JSON lines, and CO_METRICS=0
-    //    to make every instrument a no-op.)
+    //    to also stream per-round spans as JSON lines.)
     // -----------------------------------------------------------------
     let metrics = complex_objects::obs::global().snapshot();
     let rounds = metrics.counter("engine.rounds").expect("engine ran above");

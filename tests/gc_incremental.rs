@@ -31,17 +31,15 @@ fn soak_lock() -> std::sync::MutexGuard<'static, ()> {
     SOAK_LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Restores budget / metrics knobs on drop (even on panic).
+/// Restores the pause budget on drop (even on panic).
 struct KnobGuard {
     budget_us: u64,
-    metrics: bool,
 }
 
 impl KnobGuard {
     fn capture() -> Self {
         KnobGuard {
             budget_us: store::gc_pause_budget_us(),
-            metrics: obs::metrics_enabled(),
         }
     }
 }
@@ -49,7 +47,6 @@ impl KnobGuard {
 impl Drop for KnobGuard {
     fn drop(&mut self) {
         store::set_gc_pause_budget_us(self.budget_us);
-        obs::set_metrics_enabled(self.metrics);
     }
 }
 
@@ -88,7 +85,6 @@ fn budgeted_sweep_bounds_every_pause_sample() {
     // slicing: the same cycle unsliced holds locks for >100ms.
     const BUDGET_US: u64 = 10_000;
     store::set_gc_pause_budget_us(BUDGET_US);
-    obs::set_metrics_enabled(true);
     store::collect(); // start the window from a garbage-free store
 
     let before_stats = store::stats();
@@ -222,7 +218,6 @@ fn collector_thread_bounds_pauses_and_keeps_collect_synchronous() {
     // — every sample ≤ 2× budget.
     const BUDGET_US: u64 = 30_000;
     store::set_gc_pause_budget_us(BUDGET_US);
-    obs::set_metrics_enabled(true);
     store::collect();
 
     let before_snap = obs::global().snapshot();
